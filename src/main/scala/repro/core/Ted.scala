@@ -66,6 +66,10 @@ object Ted {
     (1.0 + alpha) * loss + (1.0 - alpha) * totalCoverage / k
 
   def run(db: GraphDb, cfg: TedConfig, method: String = "TED"): RunResult = {
+    require(cfg.eMax >= 1, s"eMax must be at least 1, got ${cfg.eMax}")
+    require(cfg.minEdges <= cfg.eMax,
+      s"minEdges (${cfg.minEdges}) exceeds eMax (${cfg.eMax}): no pattern could be maintained")
+    require(cfg.alpha >= 0.0 && cfg.alpha <= 1.0, s"alpha must lie in [0, 1], got ${cfg.alpha}")
     val t0 = System.nanoTime()
     val deadline =
       if (cfg.timeoutMillis == Long.MaxValue) Long.MaxValue
@@ -74,6 +78,7 @@ object Ted {
     val pes = new PesIndex(cfg.k, db)
     var enumerated = 0L
     var timedOut = false
+    var ipsSeeded = false
 
     def maintain(node: PatternNode): Unit = {
       enumerated += 1
@@ -81,7 +86,9 @@ object Ted {
       // minimum size are traversed (their descendants may qualify) but
       // never maintained.
       if (node.numEdges < cfg.minEdges) return
-      if (pes.contains(node.key)) return // an IPS seed re-reached by the DFS
+      // Canonical dedup reaches every pattern once, so only an IPS seed can
+      // already be in the index.
+      if (ipsSeeded && pes.contains(node.key)) return
       val cover = node.coverGlobal(db)
       if (!pes.isFull) {
         pes.insert(node.code, node.key, cover)
@@ -137,8 +144,10 @@ object Ted {
     try {
       if (cfg.useIps)
         Ips.initialPatterns(en, db, cfg).foreach { n =>
-          if (n.numEdges >= cfg.minEdges && !pes.isFull && !pes.contains(n.key))
+          if (n.numEdges >= cfg.minEdges && !pes.isFull && !pes.contains(n.key)) {
             pes.insert(n.code, n.key, n.coverGlobal(db))
+            ipsSeeded = true
+          }
         }
       en.roots.foreach(dfs)
     } catch {

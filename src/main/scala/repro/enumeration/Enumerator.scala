@@ -11,7 +11,9 @@ final case class Emb(graphIdx: Int, vmap: Array[Int], eids: Array[Int])
 
 /** A node of the gSpan search space (Figure 5 of the paper): a pattern in
   * canonical (minimum) DFS code form together with every embedding into
-  * the database. Cover sets (Definition 2) fall out of the embeddings.
+  * the database, grouped by graph in ascending `graphIdx` order (the order
+  * the enumerator produces them in). Cover sets (Definition 2) fall out of
+  * the embeddings.
   */
 final class PatternNode(
     val code: Vector[CodeEdge],
@@ -19,6 +21,9 @@ final class PatternNode(
     val nVerts: Int,
     val embeddings: Array[Emb],
 ) {
+  require((1 until embeddings.length).forall(i => embeddings(i - 1).graphIdx <= embeddings(i).graphIdx),
+    "embeddings must be ordered by graphIdx")
+
   def numEdges: Int = code.length
 
   lazy val key: String = DfsCode.key(code)
@@ -27,9 +32,12 @@ final class PatternNode(
 
   /** Distinct database graph indices containing this pattern, ascending. */
   lazy val graphIds: Array[Int] = {
-    val s = mutable.SortedSet.empty[Int]
-    embeddings.foreach(e => s += e.graphIdx)
-    s.toArray
+    val out = new Array[Int](embeddings.length)
+    var n = 0
+    embeddings.foreach { e =>
+      if (n == 0 || out(n - 1) != e.graphIdx) { out(n) = e.graphIdx; n += 1 }
+    }
+    java.util.Arrays.copyOf(out, n)
   }
 
   def support: Int = graphIds.length
@@ -37,19 +45,42 @@ final class PatternNode(
   private var coverCache: Array[Int] = _
 
   /** Cover set over the whole database as sorted distinct global edge ids:
-    * `Cov(p, D) = union over embeddings of their edge images`.
+    * `Cov(p, D) = union over embeddings of their edge images`. Built one
+    * graph at a time: its embeddings' local edge ids are marked in a
+    * bitset, which is then read out in ascending order and cleared.
     */
   def coverGlobal(db: GraphDb): Array[Int] = {
     if (coverCache == null) {
-      val s = new java.util.TreeSet[Integer]()
-      embeddings.foreach { emb =>
-        val off = db.edgeOffset(emb.graphIdx)
-        emb.eids.foreach(e => s.add(off + e))
+      var total = 0
+      embeddings.foreach(total += _.eids.length)
+      val out = new Array[Int](math.min(total, db.totalEdges))
+      var n = 0
+      var marks = new Array[Long](1)
+      var i = 0
+      while (i < embeddings.length) {
+        val gi = embeddings(i).graphIdx
+        val off = db.edgeOffset(gi)
+        val words = (db.edgeOffset(gi + 1) - off + 63) >>> 6
+        if (marks.length < words) marks = new Array[Long](words)
+        while (i < embeddings.length && embeddings(i).graphIdx == gi) {
+          val eids = embeddings(i).eids
+          var t = 0
+          while (t < eids.length) { marks(eids(t) >>> 6) |= 1L << eids(t); t += 1 }
+          i += 1
+        }
+        var w = 0
+        while (w < words) {
+          var bits = marks(w)
+          marks(w) = 0L
+          while (bits != 0L) {
+            out(n) = off + (w << 6) + java.lang.Long.numberOfTrailingZeros(bits)
+            n += 1
+            bits &= bits - 1
+          }
+          w += 1
+        }
       }
-      val out = new Array[Int](s.size)
-      val it = s.iterator(); var i = 0
-      while (it.hasNext) { out(i) = it.next(); i += 1 }
-      coverCache = out
+      coverCache = if (n == out.length) out else java.util.Arrays.copyOf(out, n)
     }
     coverCache
   }

@@ -18,22 +18,31 @@ object CodeEdge {
     *  - backward precedes forward (`i_b < j_f` always holds there).
     */
   implicit val ordering: Ordering[CodeEdge] = new Ordering[CodeEdge] {
-    def compare(a: CodeEdge, b: CodeEdge): Int = {
-      val s =
-        if (a.isForward && b.isForward) {
-          if (a.j != b.j) a.j - b.j else b.i - a.i
-        } else if (!a.isForward && !b.isForward) {
-          if (a.i != b.i) a.i - b.i else a.j - b.j
-        } else if (!a.isForward && b.isForward) {
-          if (a.i < b.j) -1 else 1
-        } else {
-          if (a.j <= b.i) -1 else 1
-        }
-      if (s != 0) s
-      else if (a.li != b.li) a.li - b.li
-      else if (a.le != b.le) a.le - b.le
-      else a.lj - b.lj
-    }
+    def compare(a: CodeEdge, b: CodeEdge): Int =
+      CodeEdge.compare(a.i, a.j, a.li, a.le, a.lj, b.i, b.j, b.li, b.le, b.lj)
+  }
+
+  /** [[ordering]] on unpacked tuples, for hot paths that compare candidate
+    * extensions without allocating a `CodeEdge`.
+    */
+  def compare(ai: Int, aj: Int, ali: Int, ale: Int, alj: Int,
+              bi: Int, bj: Int, bli: Int, ble: Int, blj: Int): Int = {
+    val aFwd = ai < aj
+    val bFwd = bi < bj
+    val s =
+      if (aFwd && bFwd) {
+        if (aj != bj) aj - bj else bi - ai
+      } else if (!aFwd && !bFwd) {
+        if (ai != bi) ai - bi else aj - bj
+      } else if (!aFwd) {
+        if (ai < bj) -1 else 1
+      } else {
+        if (aj <= bi) -1 else 1
+      }
+    if (s != 0) s
+    else if (ali != bli) Integer.compare(ali, bli)
+    else if (ale != ble) Integer.compare(ale, ble)
+    else Integer.compare(alj, blj)
   }
 }
 

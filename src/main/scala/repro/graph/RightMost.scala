@@ -1,8 +1,9 @@
 package repro.graph
 
-/** gSpan right-most extension (Definition 6 of the paper), shared by the
-  * canonical-form construction (embedding a pattern into itself) and the
-  * database enumerator (embedding a pattern into data graphs).
+/** gSpan right-most extension (Definition 6 of the paper) of a pattern's
+  * embedding into a data graph, for the database enumerator. The
+  * canonical-form kernel below applies the same rule to self-embeddings on
+  * flat arrays.
   */
 object RightMost {
 
@@ -65,65 +66,298 @@ object RightMost {
   }
 }
 
-/** gSpan canonical form: the minimum DFS code of a connected graph, built
-  * by the projection-based greedy — maintain every self-embedding
-  * consistent with the minimal prefix and take the globally minimal next
-  * extension. Backward extensions always precede forward ones in the
-  * tuple order, so no back edge is ever skipped and the construction
-  * never dead-ends.
+/** gSpan canonical form: the minimum DFS code of a connected graph, and
+  * gSpan's `is_min` duplicate test, both run by one projection kernel
+  * (`Projector`). The kernel keeps every self-embedding (projection)
+  * consistent with the minimal prefix and takes the globally minimal next
+  * extension. Backward extensions always precede forward ones in the tuple
+  * order, so no back edge is ever skipped and the construction never
+  * dead-ends.
   */
 object CanonicalCode {
 
-  private final case class SelfEmb(vmap: Array[Int], eids: Array[Int])
+  // One reusable kernel per thread: searches run on concurrent Spark task
+  // threads, and a kernel's buffers outlive the call.
+  private val kernel = ThreadLocal.withInitial[Projector](() => new Projector)
 
   def minCodeOf(g: LabeledGraph): Vector[CodeEdge] = {
     require(g.numEdges >= 1, "canonical code of an edgeless graph is undefined")
-    val ord = CodeEdge.ordering
-
-    var first: CodeEdge = null
-    var embs: List[SelfEmb] = Nil
-    var e = 0
-    while (e < g.numEdges) {
-      var o = 0
-      while (o < 2) {
-        val u = if (o == 0) g.src(e) else g.dst(e)
-        val v = if (o == 0) g.dst(e) else g.src(e)
-        val ce = CodeEdge(0, 1, g.vertexLabel(u), g.edgeLabel(e), g.vertexLabel(v))
-        val c = if (first == null) -1 else ord.compare(ce, first)
-        if (c < 0) { first = ce; embs = List(SelfEmb(Array(u, v), Array(e))) }
-        else if (c == 0) embs ::= SelfEmb(Array(u, v), Array(e))
-        o += 1
-      }
-      e += 1
-    }
-
-    var code   = Vector(first)
-    var rm     = List(1, 0)
-    var nVerts = 2
-    while (code.length < g.numEdges) {
-      var best: CodeEdge = null
-      var bestEmbs: List[SelfEmb] = Nil
-      embs.foreach { se =>
-        RightMost.foreachExtension(g, rm, nVerts, se.vmap, se.eids) { (ce, w, eid) =>
-          val c = if (best == null) -1 else ord.compare(ce, best)
-          if (c <= 0) {
-            val nv = if (w >= 0) se.vmap :+ w else se.vmap
-            val ne = se.eids :+ eid
-            if (c < 0) { best = ce; bestEmbs = List(SelfEmb(nv, ne)) }
-            else bestEmbs ::= SelfEmb(nv, ne)
-          }
-        }
-      }
-      assert(best != null, s"min-code construction dead-ended on $g")
-      code :+= best
-      if (best.isForward) { rm = DfsCode.extendRmPath(rm, best); nVerts += 1 }
-      embs = bestEmbs
-    }
-    code
+    val k = kernel.get
+    k.load(g)
+    val built = k.run(check = false)
+    assert(built, s"min-code construction dead-ended on $g")
+    k.code
   }
 
-  /** gSpan duplicate-pruning test: is `code` its pattern's canonical form? */
+  /** gSpan duplicate-pruning test: is `code` its pattern's canonical form?
+    * Runs the min-code construction against `code` and stops at the first
+    * extension smaller than the code's own tuple. A code that is no valid
+    * DFS code of its pattern (unlabeled or inconsistently labeled vertex,
+    * self loop, tuple no right-most extension) is not minimal.
+    */
   def isMin(code: Vector[CodeEdge]): Boolean =
     if (code.length == 1) code(0).li <= code(0).lj
-    else minCodeOf(DfsCode.toGraph(code)) == code
+    else {
+      val k = kernel.get
+      k.load(code) && k.run(check = true)
+    }
+
+  @inline private def fit(a: Array[Int], n: Int): Array[Int] =
+    if (a.length >= n) a else new Array[Int](math.max(n, 2 * a.length))
+
+  /** The min-DFS-code construction over one graph, on flat arrays.
+    *
+    * A projection is one self-embedding of the code built so far: its
+    * vertex map (pattern vertex -> graph vertex, `nV` ints, the first
+    * `nVerts` valid) in `curV`, and its used-edge then used-vertex bit
+    * markers (`mw` longs) in `curM`. Each step offers every right-most
+    * extension of every projection as an unpacked tuple against the best
+    * tuple so far and keeps the projections that extend by the best.
+    * Candidates that cannot reach the best are not generated: with a
+    * backward best, no forward ones and no backward ones to a later
+    * vertex; with a forward best, no forward ones from a vertex nearer the
+    * root.
+    *
+    * `run(check = false)` builds the minimum code into `tuples`.
+    * `run(check = true)` instead fixes the best of step t to tuple t of the
+    * loaded code and fails as soon as a candidate is smaller, or none
+    * equals it.
+    */
+  private final class Projector {
+    // The graph: vertex labels vl, edges src(e)-dst(e) labeled el(e).
+    private var nV = 0
+    private var nE = 0
+    private var vl, src, dst, el: Array[Int] = _
+
+    // A loaded code's pattern graph, and its tuples (the target of a
+    // check) or the built code, 5 ints (i, j, li, le, lj) per tuple.
+    private var codeVl, codeSrc, codeDst, codeEl = new Array[Int](16)
+    private var labeled = new Array[Boolean](16)
+    private var tuples = new Array[Int](80)
+
+    // CSR adjacency: vertex v's incident (neighbor, edge) pairs sit at
+    // adjStart(v) until adjStart(v + 1) of adjV/adjE.
+    private var adjStart, adjV, adjE = new Array[Int](32)
+
+    private var ew = 0
+    private var mw = 0
+    private var curV, nxtV = new Array[Int](128)
+    private var curM, nxtM = new Array[Long](32)
+    private var nCur = 0
+    private var nNxt = 0
+
+    // Right-most path, root first: rm(0) = 0, rm(rmLen - 1) = right-most.
+    private var rm = new Array[Int](16)
+    private var rmLen = 0
+    private var nVerts = 0
+
+    private var checking = false
+    private var hasBest = false
+    private var bi, bj, bli, ble, blj = 0
+
+    def load(g: LabeledGraph): Unit =
+      setGraph(g.numVertices, g.numEdges, g.vertexLabels, g.src, g.dst, g.edgeLabels)
+
+    /** Unpack `code` into `tuples` and its pattern graph (edge t = tuple
+      * t); false if the code is no valid labeling of a graph.
+      */
+    def load(code: Vector[CodeEdge]): Boolean = {
+      val m = code.length
+      var n = 0
+      var t = 0
+      while (t < m) {
+        val ce = code(t)
+        if (ce.i < 0 || ce.j < 0 || ce.i == ce.j) return false
+        n = math.max(n, math.max(ce.i, ce.j) + 1)
+        t += 1
+      }
+      codeVl = fit(codeVl, n)
+      if (labeled.length < n) labeled = new Array[Boolean](codeVl.length)
+      java.util.Arrays.fill(labeled, 0, n, false)
+      codeSrc = fit(codeSrc, m); codeDst = fit(codeDst, m); codeEl = fit(codeEl, m)
+      tuples = fit(tuples, 5 * m)
+      t = 0
+      while (t < m) {
+        val ce = code(t)
+        val o = 5 * t
+        tuples(o) = ce.i; tuples(o + 1) = ce.j
+        tuples(o + 2) = ce.li; tuples(o + 3) = ce.le; tuples(o + 4) = ce.lj
+        codeSrc(t) = ce.i; codeDst(t) = ce.j; codeEl(t) = ce.le
+        if (!label(ce.i, ce.li) || !label(ce.j, ce.lj)) return false
+        t += 1
+      }
+      var v = 0
+      while (v < n) { if (!labeled(v)) return false; v += 1 }
+      setGraph(n, m, codeVl, codeSrc, codeDst, codeEl)
+      true
+    }
+
+    /** Record label `l` for code vertex `v`; false if it has another. */
+    private def label(v: Int, l: Int): Boolean =
+      if (labeled(v)) codeVl(v) == l
+      else { codeVl(v) = l; labeled(v) = true; true }
+
+    private def setGraph(n: Int, m: Int, vl: Array[Int], src: Array[Int], dst: Array[Int], el: Array[Int]): Unit = {
+      nV = n; nE = m
+      this.vl = vl; this.src = src; this.dst = dst; this.el = el
+      adjStart = fit(adjStart, nV + 1)
+      java.util.Arrays.fill(adjStart, 0, nV + 1, 0)
+      adjV = fit(adjV, 2 * nE)
+      adjE = fit(adjE, 2 * nE)
+      var e = 0
+      while (e < nE) { adjStart(src(e) + 1) += 1; adjStart(dst(e) + 1) += 1; e += 1 }
+      var v = 0
+      while (v < nV) { adjStart(v + 1) += adjStart(v); v += 1 }
+      e = 0
+      while (e < nE) {
+        // adjStart(v) is the fill cursor of v here, restored below.
+        val u = src(e); val w = dst(e)
+        adjV(adjStart(u)) = w; adjE(adjStart(u)) = e; adjStart(u) += 1
+        adjV(adjStart(w)) = u; adjE(adjStart(w)) = e; adjStart(w) += 1
+        e += 1
+      }
+      v = nV
+      while (v > 0) { adjStart(v) = adjStart(v - 1); v -= 1 }
+      adjStart(0) = 0
+      ew = (nE + 63) >>> 6
+      mw = ew + ((nV + 63) >>> 6)
+      rm = fit(rm, nV)
+    }
+
+    /** The built code (after `run(check = false)`). */
+    def code: Vector[CodeEdge] =
+      Vector.tabulate(nE) { t =>
+        val o = 5 * t
+        CodeEdge(tuples(o), tuples(o + 1), tuples(o + 2), tuples(o + 3), tuples(o + 4))
+      }
+
+    def run(check: Boolean): Boolean = {
+      checking = check
+      if (!check) tuples = fit(tuples, 5 * nE)
+      nCur = 0
+      var t = 0
+      while (t < nE) {
+        val o = 5 * t
+        if (checking) {
+          hasBest = true
+          bi = tuples(o); bj = tuples(o + 1); bli = tuples(o + 2); ble = tuples(o + 3); blj = tuples(o + 4)
+        } else hasBest = false
+        nNxt = 0
+        val ok = if (t == 0) firstStep() else extendStep()
+        if (!ok || nNxt == 0) return false
+        if (!checking) {
+          tuples(o) = bi; tuples(o + 1) = bj; tuples(o + 2) = bli; tuples(o + 3) = ble; tuples(o + 4) = blj
+        }
+        if (t == 0) { rm(0) = 0; rm(1) = 1; rmLen = 2; nVerts = 2 }
+        else if (bi < bj) {
+          while (rm(rmLen - 1) != bi) rmLen -= 1
+          rm(rmLen) = bj; rmLen += 1; nVerts += 1
+        }
+        val v = curV; curV = nxtV; nxtV = v
+        val m = curM; curM = nxtM; nxtM = m
+        nCur = nNxt
+        t += 1
+      }
+      true
+    }
+
+    /** Every edge in both orientations as the tuple (0, 1, ...). */
+    private def firstStep(): Boolean = {
+      var e = 0
+      while (e < nE) {
+        if (!offer(-1, 0, 1, vl(src(e)), el(e), vl(dst(e)), src(e), dst(e), e)) return false
+        if (!offer(-1, 0, 1, vl(dst(e)), el(e), vl(src(e)), dst(e), src(e), e)) return false
+        e += 1
+      }
+      true
+    }
+
+    /** The right-most extensions of every current projection. */
+    private def extendStep(): Boolean = {
+      val r = rm(rmLen - 1)
+      var p = 0
+      while (p < nCur) {
+        val vb = p * nV
+        val mb = p * mw
+        val fr = curV(vb + r)
+        // Backward: right-most vertex -> an earlier right-most-path vertex
+        // over an unused edge, root first.
+        val bwdLast = if (hasBest && bi > bj) bj else Int.MaxValue
+        var idx = 0
+        while (idx < rmLen - 1 && rm(idx) <= bwdLast) {
+          val x = rm(idx)
+          val fx = curV(vb + x)
+          var a = adjStart(fr)
+          val end = adjStart(fr + 1)
+          while (a < end) {
+            if (adjV(a) == fx) {
+              val e = adjE(a)
+              if ((curM(mb + (e >>> 6)) & (1L << e)) == 0L &&
+                  !offer(p, r, x, vl(fr), el(e), vl(fx), -1, -1, e)) return false
+              a = end
+            } else a += 1
+          }
+          idx += 1
+        }
+        // Forward: a right-most-path vertex -> an unmapped neighbor, deepest
+        // first.
+        val fwdFirst = if (!hasBest) 0 else if (bi > bj) Int.MaxValue else bi
+        idx = rmLen - 1
+        while (idx >= 0 && rm(idx) >= fwdFirst) {
+          val x = rm(idx)
+          val fx = curV(vb + x)
+          var a = adjStart(fx)
+          val end = adjStart(fx + 1)
+          while (a < end) {
+            val w = adjV(a)
+            if ((curM(mb + ew + (w >>> 6)) & (1L << w)) == 0L &&
+                !offer(p, x, nVerts, vl(fx), el(adjE(a)), vl(w), -1, w, adjE(a))) return false
+            a += 1
+          }
+          idx -= 1
+        }
+        p += 1
+      }
+      true
+    }
+
+    /** Offer tuple (i, j, li, le, lj): projection `p` extended by graph edge
+      * `e` and, for a forward tuple, new vertex `w` (`p = -1`: the new
+      * projection maps vertices 0 and 1 to `u` and `w`). False iff
+      * checking and the tuple is below the target.
+      */
+    private def offer(p: Int, i: Int, j: Int, li: Int, le: Int, lj: Int, u: Int, w: Int, e: Int): Boolean = {
+      val c = if (hasBest) CodeEdge.compare(i, j, li, le, lj, bi, bj, bli, ble, blj) else -1
+      if (c < 0) {
+        if (checking) return false
+        hasBest = true
+        bi = i; bj = j; bli = li; ble = le; blj = lj
+        nNxt = 0
+      }
+      if (c <= 0) push(p, u, w, e)
+      true
+    }
+
+    private def push(p: Int, u: Int, w: Int, e: Int): Unit = {
+      val vb = nNxt * nV
+      val mb = nNxt * mw
+      if (vb + nV > nxtV.length) nxtV = java.util.Arrays.copyOf(nxtV, 2 * (vb + nV))
+      if (mb + mw > nxtM.length) nxtM = java.util.Arrays.copyOf(nxtM, 2 * (mb + mw))
+      if (p < 0) {
+        java.util.Arrays.fill(nxtM, mb, mb + mw, 0L)
+        nxtV(vb) = u; nxtV(vb + 1) = w
+        nxtM(mb + ew + (u >>> 6)) |= 1L << u
+        nxtM(mb + ew + (w >>> 6)) |= 1L << w
+      } else {
+        System.arraycopy(curV, p * nV, nxtV, vb, nVerts)
+        System.arraycopy(curM, p * mw, nxtM, mb, mw)
+        if (w >= 0) {
+          nxtV(vb + nVerts) = w
+          nxtM(mb + ew + (w >>> 6)) |= 1L << w
+        }
+      }
+      nxtM(mb + (e >>> 6)) |= 1L << e
+      nNxt += 1
+    }
+  }
 }

@@ -158,6 +158,39 @@ class TedSpec extends AnyFunSuite {
     assert(res.enumerated > 0)
   }
 
+  test("BASE maintains each pattern of the search space once") {
+    val db = SampleDb.db10
+    val res = Ted.base(db, cfg)
+    assert(res.enumerated == new repro.enumeration.Enumerator(db, cfg.eMax).collectAll().size)
+  }
+
+  test("an IPS seed re-reached by the DFS is not maintained twice") {
+    val rng = new Random(13)
+    (1 to 5).foreach { i =>
+      val db = new GraphDb((1 to 6).map(j => TestGraphs.randomConnected(rng, 7, 2, 2, 1, id = j)))
+      val res = Ted.full(db, cfg)
+      assert(res.patterns.map(_.key).distinct.size == res.patterns.size, s"iteration $i")
+      assert(res.coverage == res.patterns.flatMap(_.cover).toSet.size, s"iteration $i")
+    }
+  }
+
+  test("run rejects eMax < 1 before enumerating") {
+    val e = intercept[IllegalArgumentException](Ted.run(SampleDb.db, cfg.copy(eMax = 0, minEdges = 0)))
+    assert(e.getMessage.contains("eMax must be at least 1"))
+  }
+
+  test("run rejects minEdges > eMax before enumerating") {
+    val e = intercept[IllegalArgumentException](Ted.full(SampleDb.db, cfg.copy(minEdges = cfg.eMax + 1)))
+    assert(e.getMessage.contains("minEdges (4) exceeds eMax (3)"))
+  }
+
+  test("run rejects alpha outside [0, 1] before enumerating") {
+    Seq(-0.1, 1.5, Double.NaN).foreach { a =>
+      val e = intercept[IllegalArgumentException](Ted.base(SampleDb.db, cfg.copy(alpha = a)))
+      assert(e.getMessage.contains("alpha must lie in [0, 1]"), s"alpha $a")
+    }
+  }
+
   test("index accounting is populated") {
     val res = Ted.full(SampleDb.db, cfg)
     assert(res.indexNanos > 0)

@@ -123,6 +123,39 @@ class EnumeratorSpec extends AnyFunSuite {
     }
   }
 
+  test("coverGlobal and graphIds equal a naive Set-based reference") {
+    val rng = new Random(43)
+    // A 6x8 grid (82 edges) keeps local edge ids past one 64-bit word.
+    val grid = LabeledGraph(99, Seq.fill(48)(rng.nextInt(2)),
+      (0 until 48).flatMap { v =>
+        (if (v % 8 < 7) Seq((v, v + 1, 0)) else Nil) ++ (if (v / 8 < 5) Seq((v, v + 8, 0)) else Nil)
+      })
+    var sharedEdges = 0
+    var sharedGraphs = 0
+    (1 to 4).foreach { round =>
+      val graphs = IndexedSeq.tabulate(5)(i => TestGraphs.randomConnected(rng, 7, 3, 2, 1, id = i))
+      val db = new GraphDb(graphs.patch(round, Seq(grid), 0))
+      enumerate(db, 3).foreach { n =>
+        val edgeImages = n.embeddings.toSeq.flatMap(e => e.eids.toSeq.map(db.edgeOffset(e.graphIdx) + _))
+        val naiveCover = edgeImages.toSet.toSeq.sorted
+        val naiveIds = n.embeddings.map(_.graphIdx).toSet.toSeq.sorted
+        assert(n.coverGlobal(db).toSeq == naiveCover, s"cover of ${n.key}")
+        assert(n.graphIds.toSeq == naiveIds, s"graphIds of ${n.key}")
+        if (edgeImages.length > naiveCover.length) sharedEdges += 1
+        if (n.embeddings.length > naiveIds.length) sharedGraphs += 1
+      }
+    }
+    assert(sharedEdges > 0 && sharedGraphs > 0)
+  }
+
+  test("a pattern node requires its embeddings in graph order") {
+    val t = LabeledGraph(0, Seq(0, 0), Seq((0, 1, 0)))
+    val root = new Enumerator(new GraphDb(IndexedSeq(t, t)), 1).roots.head
+    intercept[IllegalArgumentException] {
+      new PatternNode(root.code, root.rmPath, root.nVerts, root.embeddings.reverse)
+    }
+  }
+
   test("traverse visit=false prunes the subtree") {
     val db = SampleDb.db
     var visitedAll = 0

@@ -4,6 +4,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import org.scalacheck.{Gen, Prop, Test => SCTest}
 import scala.util.Random
 import repro.TestGraphs
+import repro.enumeration.Enumerator
 
 class CanonicalCodeSpec extends AnyFunSuite {
 
@@ -118,6 +119,109 @@ class CanonicalCodeSpec extends AnyFunSuite {
     // minimal (the canonical form starts at a label-0 endpoint).
     val nonMin = Vector(CodeEdge(0, 1, 1, 0, 0), CodeEdge(1, 2, 0, 0, 0))
     assert(!CanonicalCode.isMin(nonMin))
+  }
+
+  /** Lexicographic order of two complete DFS codes of the same graph:
+    * `CodeEdge.ordering` at the first differing tuple, where both codes
+    * extend the same prefix.
+    */
+  private def lexCompare(a: Vector[CodeEdge], b: Vector[CodeEdge]): Int =
+    a.indices.find(t => a(t) != b(t)).fold(0)(t => CodeEdge.ordering.compare(a(t), b(t)))
+
+  /** The minimum over *all* DFS codes of `g`, by exhaustive right-most
+    * extension of every oriented first edge until every edge is used.
+    * Returns the minimum and the number of complete codes seen.
+    */
+  private def bruteForceMinCode(g: LabeledGraph): (Vector[CodeEdge], Int) = {
+    var best: Vector[CodeEdge] = null
+    var complete = 0
+    def grow(code: Vector[CodeEdge], rm: List[Int], nVerts: Int, vmap: Array[Int], eids: Array[Int]): Unit =
+      if (code.length == g.numEdges) {
+        complete += 1
+        if (best == null || lexCompare(code, best) < 0) best = code
+      } else
+        RightMost.foreachExtension(g, rm, nVerts, vmap, eids) { (ce, w, e) =>
+          if (ce.isForward) grow(code :+ ce, DfsCode.extendRmPath(rm, ce), nVerts + 1, vmap :+ w, eids :+ e)
+          else grow(code :+ ce, rm, nVerts, vmap, eids :+ e)
+        }
+    for (e <- 0 until g.numEdges; (u, v) <- Seq((g.src(e), g.dst(e)), (g.dst(e), g.src(e))))
+      grow(Vector(CodeEdge(0, 1, g.vertexLabel(u), g.edgeLabel(e), g.vertexLabel(v))),
+        List(1, 0), 2, Array(u, v), Array(e))
+    (best, complete)
+  }
+
+  test("minCodeOf equals the minimum over all DFS codes (brute-force oracle)") {
+    val rng = new Random(23)
+    (1 to 60).foreach { i =>
+      val g = TestGraphs.randomConnected(rng, 3 + rng.nextInt(4), rng.nextInt(3), 1 + rng.nextInt(3), 1 + rng.nextInt(2))
+      val (oracle, complete) = bruteForceMinCode(g)
+      assert(complete >= 2, s"iteration $i: $g")
+      assert(CanonicalCode.minCodeOf(g) == oracle, s"iteration $i: $g")
+    }
+  }
+
+  test("minCodeOf equals the brute-force minimum on single-label graphs") {
+    // One vertex and edge label: every oriented edge matches the minimal
+    // first tuple, the carbon-heavy regime of the AIDS-like data.
+    val rng = new Random(29)
+    val sizes = Seq((4, 2), (5, 3), (6, 2), (6, 4), (7, 3), (8, 2))
+    sizes.foreach { case (nV, extra) =>
+      (1 to 2).foreach { i =>
+        val g = TestGraphs.randomConnected(rng, nV, extra, 1)
+        assert(CanonicalCode.minCodeOf(g) == bruteForceMinCode(g)._1, s"n=$nV extra=$extra #$i: $g")
+      }
+    }
+    val tenEdges = TestGraphs.randomConnected(new Random(31), 7, 4, 1)
+    assert(tenEdges.numEdges == 10) // 20 oriented edges tie for the first tuple
+    assert(CanonicalCode.minCodeOf(tenEdges) == bruteForceMinCode(tenEdges)._1)
+  }
+
+  test("isMin agrees with minCodeOf on every right-most extension code") {
+    val rng = new Random(37)
+    var accepted = 0
+    var rejected = 0
+    (1 to 6).foreach { round =>
+      val nLabels = if (round % 3 == 0) 1 else 2
+      val db = new GraphDb(IndexedSeq.tabulate(4)(i =>
+        TestGraphs.randomConnected(rng, 6 + rng.nextInt(3), 1 + rng.nextInt(3), nLabels, 2, id = i)))
+      val eMax = 4
+      val en = new Enumerator(db, eMax)
+      en.collectAll().filter(_.numEdges < eMax).foreach { n =>
+        val codes = scala.collection.mutable.LinkedHashSet.empty[Vector[CodeEdge]]
+        n.embeddings.foreach { emb =>
+          RightMost.foreachExtension(db.graphs(emb.graphIdx), n.rmPath, n.nVerts, emb.vmap, emb.eids) {
+            (ce, _, _) => codes += n.code :+ ce
+          }
+        }
+        codes.foreach { c =>
+          val expected = CanonicalCode.minCodeOf(DfsCode.toGraph(c)) == c
+          assert(CanonicalCode.isMin(c) == expected, s"round $round: ${DfsCode.key(c)}")
+          if (expected) accepted += 1 else rejected += 1
+        }
+      }
+    }
+    assert(accepted > 100 && rejected > 100, s"accepted $accepted, rejected $rejected")
+  }
+
+  test("minCodeOf handles graphs with more than 64 edges and vertices") {
+    val rng = new Random(41)
+    // A 6x8 grid (82 edges, 48 vertices) with random labels, and a
+    // single-label 70-cycle with one chord (71 edges, 70 vertices).
+    val grid = LabeledGraph(0, Seq.fill(48)(rng.nextInt(2)),
+      (0 until 48).flatMap { v =>
+        val (r, c) = (v / 8, v % 8)
+        (if (c < 7) Seq((v, v + 1, rng.nextInt(2))) else Nil) ++
+          (if (r < 5) Seq((v, v + 8, rng.nextInt(2))) else Nil)
+      })
+    val ring = LabeledGraph(0, Seq.fill(70)(0), (0 until 70).map(v => (v, (v + 1) % 70, 0)) :+ ((0, 35, 0)))
+    Seq(grid, ring).foreach { g =>
+      assert(g.numEdges > 64)
+      val code = CanonicalCode.minCodeOf(g)
+      assert(code.length == g.numEdges)
+      assert(CanonicalCode.isMin(code))
+      assert(DfsCode.toGraph(code).labelSignature == g.labelSignature)
+      assert(code == CanonicalCode.minCodeOf(TestGraphs.permuted(g, rng)))
+    }
   }
 
   test("DfsCode.key/parse round-trip") {
