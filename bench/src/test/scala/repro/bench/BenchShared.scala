@@ -1,6 +1,5 @@
 package repro.bench
 
-import repro.core.{Pattern, Ted, TedConfig}
 import repro.data.MoleculeGen
 import repro.exp.Experiments
 import repro.exp.Experiments.{bench => B}
@@ -10,9 +9,6 @@ import repro.graph.GraphDb
   * forked JVM, sequentially), computed once and reused.
   */
 object BenchShared {
-
-  /** The six PES datasets' full-TED runs, behind Tables 3 and 4. */
-  lazy val pesRows: Seq[Experiments.PesRow] = Experiments.tables34(B)
 
   lazy val aidsVqfDb: GraphDb = MoleculeGen.db(MoleculeGen.aidsLike(B.aidsSmall))
   lazy val pubVqfDb: GraphDb = MoleculeGen.db(MoleculeGen.pubChemLike(B.pubSmall))

@@ -14,10 +14,7 @@ class BenchTable2Datasets extends SparkSpec {
     BenchShared.banner("Table 2: Datasets (paper: AIDS E_max=251 V_max=222 E_avg=27.3 V_avg=25.4; " +
       "eMol 104/100/15.9/15.5; PubChem 838/801/43.8/42.3)")
     val rows = Experiments.table2(spark, B)
-    println(f"${"Dataset"}%-10s ${"E_max"}%6s ${"V_max"}%6s ${"E_avg"}%6s ${"V_avg"}%6s ${"|D|"}%7s")
-    rows.foreach { s =>
-      println(f"${s.name}%-10s ${s.eMax}%6d ${s.vMax}%6d ${s.eAvg}%6.1f ${s.vAvg}%6.1f ${s.d}%7d")
-    }
+    Experiments.renderTable2(rows).foreach(println)
     val byName = rows.map(r => r.name -> r).toMap
 
     // Shape assertions against Table 2: per-graph averages must land near

@@ -3,6 +3,7 @@ package repro.bench
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.Vqf
 import repro.exp.Experiments
+import repro.exp.Experiments.{bench => B}
 
 /** Table 6 — number of patterns usable per query in VQF for FS, the
   * CATAPULT proxy and TED (k=12 sets), with the "at least one infrequent
@@ -17,14 +18,8 @@ class BenchTable6PatternsUsed extends AnyFunSuite {
   test("Table 6: number of patterns used in VQF") {
     BenchShared.banner("Table 6: Patterns used in VQF |P_U| (paper PubChem: FS {2,3,3,4,2}, " +
       "CATAPULT {2,3,4,5,2}, TED {5,5,6,7,5}; AIDS: FS {1,1,2,1,2}, CATAPULT {2,1,1,2,3}, TED {3,2,4,3,6})")
-    println(f"${"Query"}%-14s ${"|E|"}%4s ${"FS"}%4s ${"CAT"}%4s ${"TED"}%4s ${"FSsteps"}%8s ${"CATsteps"}%9s ${"TEDsteps"}%9s  TED-infrequent")
     val all = BenchShared.vqfRows.values.flatten.toSeq
-    BenchShared.vqfRows.foreach { case (_, rows) =>
-      rows.foreach { r =>
-        println(f"${r.query}%-14s ${r.queryEdges}%4d ${r.fsUsed}%4d ${r.catapultUsed}%4d ${r.tedUsed}%4d " +
-          f"${r.fsSteps}%8d ${r.catapultSteps}%9d ${r.tedSteps}%9d  ${if (r.tedUsesInfrequent) "Yes" else "No"}")
-      }
-    }
+    Experiments.renderTable6(all).foreach(println)
     // Shape: TED's diversified patterns are usable at least as often as
     // FS's on average (the paper's Table-6 headline). Steps on these
     // *typical* (frequent-structure) queries may favour FS — that is
@@ -41,9 +36,8 @@ class BenchTable6PatternsUsed extends AnyFunSuite {
 
   test("Fig 17 shape: RR vs FS grows with the infrequent-query fraction rho") {
     BenchShared.banner("Exp 7 / Fig 17: RR between TED and FS over QS_rho (paper: RR < 0 at rho=0, > 0 from rho~0.2)")
-    val rows = Experiments.fig17(BenchShared.aidsVqfDb, k = 12,
-      eMax = repro.exp.Experiments.bench.eMax, supMin = repro.exp.Experiments.bench.supMin,
-      rhos = Seq(0.0, 0.2, 0.4, 0.6), timeoutMillis = repro.exp.Experiments.bench.timeoutMillis)
+    val rows = Experiments.fig17(BenchShared.aidsVqfDb, k = 12, eMax = B.eMax, supMin = B.supMin,
+      rhos = Seq(0.0, 0.2, 0.4, 0.6), timeoutMillis = B.timeoutMillis)
     rows.foreach(r => println(f"rho=${r.rho}%.1f Steps_FS=${r.stepsFs}%5d Steps_TED=${r.stepsTed}%5d RR=${r.rr}%+.3f"))
     // Shape: RR improves as infrequent queries enter the mix.
     assert(rows.last.rr > rows.head.rr - 0.02,

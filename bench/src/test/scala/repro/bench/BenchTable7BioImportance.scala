@@ -21,8 +21,7 @@ class BenchTable7BioImportance extends AnyFunSuite {
     val rows = Experiments.table7(BenchShared.pubVqfDb, repository,
       k = 12, eMax = B.eMax, supMin = B.supMin, minEdges = 3,
       timeoutMillis = B.timeoutMillis)
-    println(f"${"Method"}%-10s ${"Important"}%10s ${"Total"}%6s")
-    rows.foreach(r => println(f"${r.method}%-10s ${r.important}%10d ${r.total}%6d"))
+    Experiments.renderTable7(rows).foreach(println)
     val byMethod = rows.map(r => r.method -> r).toMap
     rows.foreach(r => assert(r.important >= 0 && r.important <= r.total))
     // Shape: TED surfaces at least as many repository substructures as FS

@@ -6,7 +6,9 @@ import repro.exp.Experiments
 
 /** Scratch entrypoint for calibrating bench-scale dataset sizes: run TED
   * on one dataset and print timing. Usage:
-  *   sbt "runMain repro.jobs.CalibrateJob <preset> <nGraphs> <eMax> <timeoutMs>"
+  *   sbt "runMain repro.jobs.CalibrateJob <preset> <nGraphs> <eMax> <timeoutMs> <method>"
+  * where `preset` is a [[MoleculeGen.preset]] name and `method` one of
+  * ted, base, allg, fsgg.
   */
 object CalibrateJob {
   def main(args: Array[String]): Unit = {
@@ -14,11 +16,7 @@ object CalibrateJob {
     val n = if (args.length > 1) args(1).toInt else 800
     val eMax = if (args.length > 2) args(2).toInt else 10
     val timeout = if (args.length > 3) args(3).toLong else 120000L
-    val params = preset match {
-      case "aids" => MoleculeGen.aidsLike(n)
-      case "emol" => MoleculeGen.eMolLike(n)
-      case "pub"  => MoleculeGen.pubChemLike(n)
-    }
+    val params = MoleculeGen.preset(preset, n)
     val method = if (args.length > 4) args(4) else "ted"
     val t0 = System.currentTimeMillis()
     val db = MoleculeGen.db(params)

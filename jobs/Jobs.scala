@@ -1,9 +1,7 @@
 package repro.jobs
 
 import org.apache.spark.sql.SparkSession
-import repro.core.TedConfig
 import repro.data.MoleculeGen
-import repro.dist.{DistTed, GraphFrames}
 import repro.exp.Experiments
 import repro.exp.Experiments.{bench => B}
 
@@ -25,33 +23,18 @@ object Table2Job {
   def main(args: Array[String]): Unit = {
     val spark = JobUtil.session("ted-table2")
     println("Table 2: Datasets (synthetic, scaled — DESIGN.md §4)")
-    println(f"${"Dataset"}%-10s ${"E_max"}%6s ${"V_max"}%6s ${"E_avg"}%6s ${"V_avg"}%6s ${"|D|"}%6s")
-    Experiments.table2(spark, B).foreach { s =>
-      println(f"${s.name}%-10s ${s.eMax}%6d ${s.vMax}%6d ${s.eAvg}%6.1f ${s.vAvg}%6.1f ${s.d}%6d")
-    }
+    Experiments.renderTable2(Experiments.table2(spark, B)).foreach(println)
     spark.stop()
   }
 }
 
-/** Table 3 — PES-Index size. */
-object Table3Job {
+/** Tables 3 & 4 — PES-Index size and maintenance time, from one set of
+  * full TED runs.
+  */
+object Table34Job {
   def main(args: Array[String]): Unit = {
-    println("Table 3: Size of PES-Index")
-    println(f"${"Dataset"}%-12s ${"Index KB"}%10s ${"Index/Graphs %%"}%16s")
-    Experiments.tables34(B).foreach { r =>
-      println(f"${r.dataset}%-12s ${r.indexKB}%10.1f ${r.indexPctOfData}%16.2f")
-    }
-  }
-}
-
-/** Table 4 — PES-Index maintenance time. */
-object Table4Job {
-  def main(args: Array[String]): Unit = {
-    println("Table 4: Maintenance Time of PES-Index")
-    println(f"${"Dataset"}%-12s ${"Index Time s"}%13s ${"Index/Total %%"}%15s")
-    Experiments.tables34(B).foreach { r =>
-      println(f"${r.dataset}%-12s ${r.indexTimeS}%13.2f ${r.indexPctOfTotal}%15.2f")
-    }
+    println("Tables 3-4: Size and Maintenance Time of PES-Index")
+    Experiments.renderTables34(Experiments.tables34(B)).foreach(println)
   }
 }
 
@@ -61,12 +44,11 @@ object Table56Job {
     val aids = MoleculeGen.db(MoleculeGen.aidsLike(B.aidsSmall))
     val pub  = MoleculeGen.db(MoleculeGen.pubChemLike(B.pubSmall))
     println("Tables 5-6: VQF queries / patterns used (k=12 pattern sets)")
-    println(f"${"Query"}%-14s ${"|E|"}%4s ${"FS"}%4s ${"CAT"}%4s ${"TED"}%4s  infrequent-used")
-    for ((name, db) <- Seq("PubChem" -> pub, "AIDS" -> aids);
-         r <- Experiments.tables56(name, db, k = 12, eMax = B.eMax, supMin = B.supMin,
-           timeoutMillis = B.timeoutMillis)) {
-      println(f"${r.query}%-14s ${r.queryEdges}%4d ${r.fsUsed}%4d ${r.catapultUsed}%4d ${r.tedUsed}%4d  ${if (r.tedUsesInfrequent) "Yes" else "No"}")
+    val rows = Seq("PubChem" -> pub, "AIDS" -> aids).flatMap { case (name, db) =>
+      Experiments.tables56(name, db, k = 12, eMax = B.eMax, supMin = B.supMin,
+        timeoutMillis = B.timeoutMillis)
     }
+    Experiments.renderTable6(rows).foreach(println)
   }
 }
 
@@ -77,10 +59,8 @@ object Table7Job {
     val repo = repro.core.Vqf.exactRepository(
       MoleculeGen.db(MoleculeGen.fragmentRepo(8000, seed = 99)))
     println("Table 7: Patterns with Biological Importance (synthetic repo)")
-    Experiments.table7(db, repo, k = 12, eMax = B.eMax, supMin = B.supMin,
-      minEdges = 3, timeoutMillis = B.timeoutMillis).foreach { r =>
-      println(f"${r.method}%-10s ${r.important}%3d of ${r.total}%d")
-    }
+    Experiments.renderTable7(Experiments.table7(db, repo, k = 12, eMax = B.eMax,
+      supMin = B.supMin, minEdges = 3, timeoutMillis = B.timeoutMillis)).foreach(println)
   }
 }
 

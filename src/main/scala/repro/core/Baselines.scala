@@ -1,8 +1,8 @@
 package repro.core
 
-import repro.cover.{MaxCover, PesIndex}
+import repro.cover.MaxCover
 import repro.enumeration.{Enumerator, PatternNode, TedTimeout}
-import repro.graph.{DfsCode, GraphDb}
+import repro.graph.GraphDb
 
 /** The four baseline solutions of Sections 3 and 7.1:
   *
@@ -11,13 +11,17 @@ import repro.graph.{DfsCode, GraphDb}
   *  - FSG_g (Algorithm 2): same with only frequent subgraphs;
   *  - ALL_t / FSG_t: the swapping variants — stream the (frequent)
   *    enumeration through the PES-Index maintenance instead of storing.
+  *    ALL_t is exactly TED_BASE ([[Ted.base]]); FSG_t is BASE over the
+  *    frequent-only space.
   */
 object Baselines {
 
-  /** Shared enumerate-collect-then-greedy path of Algorithms 1 and 2. */
-  private def collectThenGreedy(
-      db: GraphDb, k: Int, eMax: Int, minSupport: Int,
-      timeoutMillis: Long, method: String): RunResult = {
+  /** Shared enumerate-collect-then-select path of Algorithms 1 and 2 and
+    * of OPT; `select` solves max k-cover over the collected cover sets.
+    */
+  private def collectThenSelect(
+      db: GraphDb, minSupport: Int, eMax: Int, timeoutMillis: Long, method: String)(
+      select: IndexedSeq[Array[Int]] => (Seq[Int], Int)): RunResult = {
     val t0 = System.nanoTime()
     val deadline =
       if (timeoutMillis == Long.MaxValue) Long.MaxValue else t0 + timeoutMillis * 1000000L
@@ -31,39 +35,26 @@ object Baselines {
       return RunResult(method, Nil, 0, db.totalEdges,
         (System.nanoTime() - t0) / 1000000L, collected.size.toLong, 0L, 0L, timedOut = true)
 
-    val covers = collected.map(_.coverGlobal(db))
-    val (chosen, coverage) = MaxCover.greedy(covers, k, db.totalEdges)
-    val patterns = chosen.map { ci =>
-      val n = collected(ci)
-      Pattern(n.code, n.graph, covers(ci), n.support)
-    }
-    RunResult(method, patterns, coverage, db.totalEdges,
+    val (chosen, coverage) = select(collected.map(_.coverGlobal(db)))
+    RunResult(method, chosen.map(ci => Pattern.of(collected(ci), db)), coverage, db.totalEdges,
       (System.nanoTime() - t0) / 1000000L, collected.size.toLong, 0L, 0L, timedOut = false)
   }
 
-  /** Streamed swapping variant: identical enumeration, PES maintenance. */
-  private def streamSwap(
-      db: GraphDb, k: Int, eMax: Int, minSupport: Int, alpha: Double,
-      timeoutMillis: Long, method: String): RunResult =
-    Ted.run(db,
-      TedConfig(k = k, eMax = eMax, alpha = alpha, usePrm = false, useIps = false,
-        minSupport = minSupport, timeoutMillis = timeoutMillis),
-      method)
-
   def allG(db: GraphDb, k: Int, eMax: Int, timeoutMillis: Long = Long.MaxValue): RunResult =
-    collectThenGreedy(db, k, eMax, minSupport = 1, timeoutMillis, "ALL_g")
-
-  def allT(db: GraphDb, k: Int, eMax: Int, alpha: Double = 1.0,
-           timeoutMillis: Long = Long.MaxValue): RunResult =
-    streamSwap(db, k, eMax, minSupport = 1, alpha, timeoutMillis, "ALL_t")
+    collectThenSelect(db, minSupport = 1, eMax, timeoutMillis, "ALL_g")(
+      MaxCover.greedy(_, k, db.totalEdges))
 
   def fsgG(db: GraphDb, k: Int, eMax: Int, supMin: Double,
            timeoutMillis: Long = Long.MaxValue): RunResult =
-    collectThenGreedy(db, k, eMax, minSupport = supportCount(db, supMin), timeoutMillis, "FSG_g")
+    collectThenSelect(db, supportCount(db, supMin), eMax, timeoutMillis, "FSG_g")(
+      MaxCover.greedy(_, k, db.totalEdges))
 
   def fsgT(db: GraphDb, k: Int, eMax: Int, supMin: Double, alpha: Double = 1.0,
            timeoutMillis: Long = Long.MaxValue): RunResult =
-    streamSwap(db, k, eMax, supportCount(db, supMin), alpha, timeoutMillis, "FSG_t")
+    Ted.run(db,
+      TedConfig(k = k, eMax = eMax, alpha = alpha, usePrm = false, useIps = false,
+        minSupport = supportCount(db, supMin), timeoutMillis = timeoutMillis),
+      "FSG_t")
 
   /** sup_min in [0,1] -> absolute graph-count threshold (at least 1). */
   def supportCount(db: GraphDb, supMin: Double): Int =
@@ -72,19 +63,8 @@ object Baselines {
   /** Exhaustive optimum over the full pattern space — the OPT reference;
     * only feasible on tiny databases (PubChem100/AIDS100-scale analogue).
     */
-  def optimal(db: GraphDb, k: Int, eMax: Int): RunResult = {
-    val t0 = System.nanoTime()
-    val en = new Enumerator(db, eMax, 1, Long.MaxValue)
-    val collected = en.collectAll()
-    val covers = collected.map(_.coverGlobal(db))
-    val (chosen, coverage) = MaxCover.optimal(covers, k)
-    val patterns = chosen.map { ci =>
-      val n = collected(ci)
-      Pattern(n.code, n.graph, covers(ci), n.support)
-    }
-    RunResult("OPT", patterns, coverage, db.totalEdges,
-      (System.nanoTime() - t0) / 1000000L, collected.size.toLong, 0L, 0L, timedOut = false)
-  }
+  def optimal(db: GraphDb, k: Int, eMax: Int): RunResult =
+    collectThenSelect(db, minSupport = 1, eMax, Long.MaxValue, "OPT")(MaxCover.optimal(_, k))
 
   /** Top-k frequent subgraphs (the FS comparator of Exps 6–7): highest
     * support first, larger patterns breaking ties, 1-edge patterns last.
@@ -92,11 +72,10 @@ object Baselines {
   def topKFrequent(db: GraphDb, k: Int, eMax: Int, supMin: Double,
                    minEdges: Int = 2): Seq[Pattern] = {
     val en = new Enumerator(db, eMax, supportCount(db, supMin), Long.MaxValue)
-    val all = en.collectAll()
-    all
+    en.collectAll()
       .filter(_.numEdges >= minEdges)
       .sortBy(n => (-n.support, -n.numEdges, n.key))
       .take(k)
-      .map(n => Pattern(n.code, n.graph, n.coverGlobal(db), n.support))
+      .map(Pattern.of(_, db))
   }
 }

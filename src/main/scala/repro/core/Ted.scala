@@ -16,6 +16,11 @@ final case class Pattern(
   def numEdges: Int = code.length
 }
 
+object Pattern {
+  /** The pattern of an enumerated search-space node, with its cover set. */
+  def of(n: PatternNode, db: GraphDb): Pattern = Pattern(n.code, n.graph, n.coverGlobal(db), n.support)
+}
+
 /** Outcome of one discovery run (any method). `timedOut` mirrors the
   * paper's INF entries: the run exceeded its deadline and `patterns` is
   * whatever had been maintained so far.
@@ -35,8 +40,9 @@ final case class RunResult(
   def indexMillis: Double = indexNanos / 1e6
 }
 
-/** Configuration of the TED family.
+/** Configuration of the TED family, validated on construction.
   *
+  * @param k number of patterns, 1..64 (the PES-Index keeps one bit per slot).
   * @param alpha swapping threshold of Equation 1 — 1.0 = Swap_1 (default),
   *              0.0 = Swap_2, in between = Swap_alpha.
   * @param minSupport >1 turns the enumeration into the frequent-only space
@@ -51,7 +57,13 @@ final case class TedConfig(
     minSupport: Int = 1,
     minEdges: Int = 1,
     timeoutMillis: Long = Long.MaxValue,
-)
+) {
+  require(k >= 1 && k <= 64, s"k must lie in [1, 64], got $k")
+  require(eMax >= 1, s"eMax must be at least 1, got $eMax")
+  require(minEdges <= eMax,
+    s"minEdges ($minEdges) exceeds eMax ($eMax): no pattern could be maintained")
+  require(alpha >= 0.0 && alpha <= 1.0, s"alpha must lie in [0, 1], got $alpha")
+}
 
 /** The TED framework (Section 4): subgraph enumeration interleaved with
   * swapping-based top-k maintenance over the PES-Index, plus the PRM
@@ -66,10 +78,6 @@ object Ted {
     (1.0 + alpha) * loss + (1.0 - alpha) * totalCoverage / k
 
   def run(db: GraphDb, cfg: TedConfig, method: String = "TED"): RunResult = {
-    require(cfg.eMax >= 1, s"eMax must be at least 1, got ${cfg.eMax}")
-    require(cfg.minEdges <= cfg.eMax,
-      s"minEdges (${cfg.minEdges}) exceeds eMax (${cfg.eMax}): no pattern could be maintained")
-    require(cfg.alpha >= 0.0 && cfg.alpha <= 1.0, s"alpha must lie in [0, 1], got ${cfg.alpha}")
     val t0 = System.nanoTime()
     val deadline =
       if (cfg.timeoutMillis == Long.MaxValue) Long.MaxValue

@@ -1,5 +1,6 @@
 package repro.core
 
+import java.util.BitSet
 import scala.collection.mutable
 import scala.util.Random
 import repro.enumeration.Enumerator
@@ -135,45 +136,36 @@ object Vqf {
     val en = new Enumerator(db, eMax, Baselines.supportCount(db, supMin), Long.MaxValue)
     val pool = en.collectAll().filter(_.numEdges >= minEdges)
     val chosen = mutable.ArrayBuffer.empty[Pattern]
-    val coveredGraphs = mutable.Set.empty[Int]
-    val poolPatterns = pool.map(n => Pattern(n.code, n.graph, n.coverGlobal(db), n.support))
+    val coveredGraphs = new BitSet(db.numGraphs)
+    val poolPatterns = pool.map(Pattern.of(_, db))
     val poolGraphIds = pool.map(_.graphIds)
-    val remaining = mutable.BitSet(poolPatterns.indices: _*)
-    while (chosen.size < k && remaining.nonEmpty) {
+    val remaining = new BitSet(poolPatterns.length)
+    remaining.set(0, poolPatterns.length)
+    while (chosen.size < k && !remaining.isEmpty) {
       var best = -1
       var bestScore = Double.MinValue
-      remaining.foreach { i =>
+      var i = remaining.nextSetBit(0)
+      while (i >= 0) {
         val p = poolPatterns(i)
-        val marginal = poolGraphIds(i).count(g => !coveredGraphs.contains(g))
+        val marginal = poolGraphIds(i).count(g => !coveredGraphs.get(g))
         val sizeBonus = -math.abs(p.numEdges - (eMax / 2.0)) // prefer mid-size
         val redundant = chosen.exists(c =>
           SubIso.exists(p.graph, c.graph) || SubIso.exists(c.graph, p.graph))
         val score = marginal + 0.1 * sizeBonus - (if (redundant) 1000.0 else 0.0)
         if (score > bestScore) { bestScore = score; best = i }
+        i = remaining.nextSetBit(i + 1)
       }
       chosen += poolPatterns(best)
-      poolGraphIds(best).foreach(coveredGraphs += _)
-      remaining -= best
+      poolGraphIds(best).foreach(coveredGraphs.set)
+      remaining.clear(best)
     }
     chosen.toSeq
   }
 
-  /** Synthetic "biological importance" repository (DESIGN.md §4): all
-    * canonical codes occurring at least `minOcc` times in an independently
-    * generated molecule collection. A pattern is "biologically important"
-    * iff its code occurs there.
-    */
-  def buildRepository(repoDb: GraphDb, eMax: Int, minOcc: Int): Set[String] = {
-    val en = new Enumerator(repoDb, eMax, minOcc, Long.MaxValue)
-    val codes = mutable.Set.empty[String]
-    en.traverse { n => codes += n.key; true }
-    codes.toSet
-  }
-
-  /** Stricter repository variant: a pattern is important iff it is
-    * isomorphic to a *whole compound* of the repository (the paper's "has
-    * a CID in PubChem") — canonical-code equality against a library of
-    * small molecules.
+  /** Synthetic "biological importance" repository (DESIGN.md §4): a
+    * pattern is important iff it is isomorphic to a *whole compound* of
+    * the repository (the paper's "has a CID in PubChem") — canonical-code
+    * equality against a library of small molecules.
     */
   def exactRepository(repoDb: GraphDb): Set[String] =
     repoDb.graphs.iterator.map(g => DfsCode.key(CanonicalCode.minCodeOf(g))).toSet

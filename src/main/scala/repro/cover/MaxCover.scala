@@ -1,5 +1,6 @@
 package repro.cover
 
+import java.util.BitSet
 import scala.collection.mutable
 
 /** Greedy and exact solvers for the max k-cover subproblem (MaxCover in
@@ -8,27 +9,31 @@ import scala.collection.mutable
 object MaxCover {
 
   /** The classic (1 - 1/e)-approximate greedy: k rounds, each picking the
-    * candidate with the largest marginal cover. Returns chosen candidate
-    * indices in selection order plus the final covered-edge count.
+    * candidate with the largest marginal cover (the lowest index among
+    * equal gains). Returns chosen candidate indices in selection order
+    * plus the final covered-edge count.
     */
   def greedy(candidates: IndexedSeq[Array[Int]], k: Int, totalEdges: Int): (Seq[Int], Int) = {
-    val covered = new java.util.BitSet(totalEdges)
+    val covered = new BitSet(totalEdges)
     val chosen = mutable.ArrayBuffer.empty[Int]
-    val available = mutable.BitSet(candidates.indices: _*)
+    val available = new BitSet(candidates.length)
+    available.set(0, candidates.length)
     var coveredCount = 0
     var round = 0
-    while (round < k && available.nonEmpty) {
+    while (round < k && !available.isEmpty) {
       var best = -1
       var bestGain = -1
-      available.foreach { ci =>
+      var ci = available.nextSetBit(0)
+      while (ci >= 0) {
         var gain = 0
         val cov = candidates(ci)
         var i = 0
         while (i < cov.length) { if (!covered.get(cov(i))) gain += 1; i += 1 }
         if (gain > bestGain) { bestGain = gain; best = ci }
+        ci = available.nextSetBit(ci + 1)
       }
       chosen += best
-      available -= best
+      available.clear(best)
       val cov = candidates(best)
       var i = 0
       while (i < cov.length) {
@@ -50,16 +55,10 @@ object MaxCover {
     val n = candidates.length
     val idx = new Array[Int](math.min(k, n))
 
-    def unionSize(sel: Seq[Int]): Int = {
-      val s = mutable.BitSet.empty
-      sel.foreach(ci => candidates(ci).foreach(s += _))
-      s.size
-    }
-
     def rec(pos: Int, from: Int): Unit = {
       if (pos == idx.length) {
         val sel = idx.toList
-        val c = unionSize(sel)
+        val c = coverageOf(sel.map(candidates))
         if (c > bestCover) { bestCover = c; bestSet = sel }
       } else {
         var i = from
@@ -76,8 +75,8 @@ object MaxCover {
 
   /** Coverage of a fixed selection (distinct union size). */
   def coverageOf(selection: Seq[Array[Int]]): Int = {
-    val s = mutable.BitSet.empty
-    selection.foreach(_.foreach(s += _))
-    s.size
+    val s = new BitSet()
+    selection.foreach(_.foreach(s.set))
+    s.cardinality
   }
 }

@@ -83,6 +83,17 @@ object MoleculeGen {
       ringsPerVertex = 0.05, labeledEdges = false, seed = seed,
       name = s"PubChem($lo,$hi]")
 
+  /** The named dataset presets (`aids`, `aidsl`, `emol`, `pubchem`, any
+    * case), each with its own default seed.
+    */
+  def preset(name: String, nGraphs: Int): Params = name.toLowerCase match {
+    case "aids"    => aidsLike(nGraphs)
+    case "aidsl"   => aidsLabeledLike(nGraphs)
+    case "emol"    => eMolLike(nGraphs)
+    case "pubchem" => pubChemLike(nGraphs)
+    case other     => throw new IllegalArgumentException(s"unknown dataset preset: $other")
+  }
+
   private def weightedPick(rng: Random, weights: Array[Double]): Int = {
     var r = rng.nextDouble() * weights.sum
     var i = 0

@@ -66,12 +66,6 @@ object DistTed {
       .toDF("code", "graph_id", "edge_id")
   }
 
-  /** Coverage (distinct covered edges of D) of the union of `candidates`,
-    * computed as a Spark SQL aggregate.
-    */
-  def unionCoverage(spark: SparkSession, ds: Dataset[GraphRow], candidates: Seq[String]): Long =
-    coverDF(spark, ds, candidates).select("graph_id", "edge_id").distinct().count()
-
   final case class DistResult(
       result: RunResult,
       candidatePoolSize: Int,

@@ -180,7 +180,7 @@ final class Enumerator(
   def traverse(visit: PatternNode => Boolean): Unit =
     roots.foreach(r => traverseFrom(r, visit))
 
-  def traverseFrom(node: PatternNode, visit: PatternNode => Boolean): Unit = {
+  private def traverseFrom(node: PatternNode, visit: PatternNode => Boolean): Unit = {
     checkDeadline()
     if (visit(node) && node.numEdges < eMax)
       children(node).foreach(c => traverseFrom(c, visit))

@@ -43,8 +43,6 @@ object Experiments {
     timeoutMillis = 60000L,
   )
 
-  def fmt(d: Double): String = f"$d%.2f"
-
   // ------------------------------------------------------------------
   // Table 2 — dataset statistics.
   // ------------------------------------------------------------------
@@ -65,6 +63,10 @@ object Experiments {
         row.getDouble(2), row.getDouble(3), row.getLong(4))
     }
   }
+
+  def renderTable2(rows: Seq[DatasetStats]): Seq[String] =
+    f"${"Dataset"}%-10s ${"E_max"}%6s ${"V_max"}%6s ${"E_avg"}%6s ${"V_avg"}%6s ${"|D|"}%7s" +:
+      rows.map(s => f"${s.name}%-10s ${s.eMax}%6d ${s.vMax}%6d ${s.eAvg}%6.1f ${s.vAvg}%6.1f ${s.d}%7d")
 
   // ------------------------------------------------------------------
   // Tables 3 & 4 — PES-Index size and maintenance time, from full TED
@@ -101,6 +103,13 @@ object Experiments {
       )
     }
 
+  /** Table 3 (index size) and Table 4 (maintenance time) side by side. */
+  def renderTables34(rows: Seq[PesRow]): Seq[String] =
+    (f"${"Dataset"}%-14s ${"Index KB"}%10s ${"Index/Graphs %"}%16s " +
+      f"${"Index Time s"}%13s ${"Index/Total %"}%15s ${"Total s"}%9s ${"CovRate"}%8s") +:
+      rows.map(r => f"${r.dataset}%-14s ${r.indexKB}%10.1f ${r.indexPctOfData}%16.2f " +
+        f"${r.indexTimeS}%13.3f ${r.indexPctOfTotal}%15.2f ${r.totalS}%9.2f ${r.coverageRate}%8.4f")
+
   // ------------------------------------------------------------------
   // Tables 5 & 6 — VQF queries and patterns-used-per-query.
   // ------------------------------------------------------------------
@@ -136,6 +145,13 @@ object Experiments {
     }
   }
 
+  /** Table 6: patterns used per query, with the steps behind Figure 16. */
+  def renderTable6(rows: Seq[VqfRow]): Seq[String] =
+    (f"${"Query"}%-14s ${"|E|"}%4s ${"FS"}%4s ${"CAT"}%4s ${"TED"}%4s " +
+      f"${"FSsteps"}%8s ${"CATsteps"}%9s ${"TEDsteps"}%9s  TED-infrequent") +:
+      rows.map(r => f"${r.query}%-14s ${r.queryEdges}%4d ${r.fsUsed}%4d ${r.catapultUsed}%4d ${r.tedUsed}%4d " +
+        f"${r.fsSteps}%8d ${r.catapultSteps}%9d ${r.tedSteps}%9d  ${if (r.tedUsesInfrequent) "Yes" else "No"}")
+
   // ------------------------------------------------------------------
   // Exp 7 / Figure 17 — RR between TED and FS as the fraction rho of
   // infrequent queries grows. Queries are small (rare structure dominates
@@ -170,12 +186,9 @@ object Experiments {
 
   final case class BioRow(method: String, important: Int, total: Int)
 
-  /** Table 7 with a caller-supplied repository (exact-compound codes or
-    * frequent-fragment codes — see Vqf.exactRepository/buildRepository).
-    */
-  def table7(db: GraphDb, repository: Set[String], k: Int, eMax: Int, supMin: Double,
+  /** Table 7 with a caller-supplied repository (see Vqf.exactRepository). */
+  def table7(db: GraphDb, repo: Set[String], k: Int, eMax: Int, supMin: Double,
              minEdges: Int = 3, timeoutMillis: Long = Long.MaxValue): Seq[BioRow] = {
-    val repo = repository
     val ted = Ted.full(db, TedConfig(k = k, eMax = eMax, minEdges = minEdges,
       timeoutMillis = timeoutMillis)).patterns
     val fs  = Baselines.topKFrequent(db, k, eMax, supMin, minEdges)
@@ -187,9 +200,14 @@ object Experiments {
     )
   }
 
+  def renderTable7(rows: Seq[BioRow]): Seq[String] =
+    f"${"Method"}%-10s ${"Important"}%10s ${"Total"}%6s" +:
+      rows.map(r => f"${r.method}%-10s ${r.important}%10d ${r.total}%6d")
+
   // ------------------------------------------------------------------
   // Supplementary: the Figures 9–15 method comparison (coverage rate and
   // processing time per method), also the source of Table 3/4 context.
+  // ALL_t is BASE (Ted.base), so it is reported once, as BASE.
   // ------------------------------------------------------------------
 
   def methodComparison(db: GraphDb, k: Int, eMax: Int, supMin: Double,
@@ -197,7 +215,6 @@ object Experiments {
     val cfg = TedConfig(k = k, eMax = eMax, alpha = alpha, timeoutMillis = timeoutMillis)
     Seq(
       Baselines.allG(db, k, eMax, timeoutMillis),
-      Baselines.allT(db, k, eMax, alpha, timeoutMillis),
       Baselines.fsgG(db, k, eMax, supMin, timeoutMillis),
       Baselines.fsgT(db, k, eMax, supMin, alpha, timeoutMillis),
       Ted.base(db, cfg),

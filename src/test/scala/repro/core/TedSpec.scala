@@ -184,6 +184,14 @@ class TedSpec extends AnyFunSuite {
     assert(e.getMessage.contains("minEdges (4) exceeds eMax (3)"))
   }
 
+  test("config rejects k outside [1, 64]") {
+    Seq(0, -1, 65).foreach { k =>
+      val e = intercept[IllegalArgumentException](cfg.copy(k = k))
+      assert(e.getMessage.contains("k must lie in [1, 64]"), s"k $k")
+    }
+    assert(TedConfig(k = 1).k == 1 && TedConfig(k = 64).k == 64)
+  }
+
   test("run rejects alpha outside [0, 1] before enumerating") {
     Seq(-0.1, 1.5, Double.NaN).foreach { a =>
       val e = intercept[IllegalArgumentException](Ted.base(SampleDb.db, cfg.copy(alpha = a)))

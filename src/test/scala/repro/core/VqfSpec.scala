@@ -3,7 +3,7 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
 import repro.data.{MoleculeGen, SampleDb}
-import repro.graph.LabeledGraph
+import repro.graph.{CanonicalCode, LabeledGraph}
 import repro.iso.SubIso
 
 class VqfSpec extends AnyFunSuite {
@@ -89,16 +89,18 @@ class VqfSpec extends AnyFunSuite {
   }
 
   test("repository membership marks real substructures") {
-    val repoDb = MoleculeGen.db(MoleculeGen.aidsLike(30, seed = 5))
-    val repo = Vqf.buildRepository(repoDb, eMax = 3, minOcc = 2)
-    assert(repo.nonEmpty)
-    // A pattern enumerated from the same generator distribution is
-    // overwhelmingly likely in the repository; a nonsense label is not.
+    val repoDb = MoleculeGen.db(MoleculeGen.fragmentRepo(200, seed = 5))
+    val repo = Vqf.exactRepository(repoDb)
+    assert(repo.nonEmpty && repo.size <= repoDb.numGraphs)
+    // Every whole compound of the repository is important; a nonsense
+    // label is not.
+    val compounds = repoDb.graphs.map(g => Pattern(CanonicalCode.minCodeOf(g), g, Array(), 1))
+    assert(Vqf.bioImportance(compounds, repo) == compounds.size)
     val ted = Ted.full(db, TedConfig(k = 3, eMax = 3)).patterns
     val important = Vqf.bioImportance(ted, repo)
     assert(important >= 0 && important <= ted.size)
     val junk = LabeledGraph(-1, Seq(99, 98), Seq((0, 1, 7)))
-    val junkPattern = Pattern(repro.graph.CanonicalCode.minCodeOf(junk), junk, Array(), 0)
+    val junkPattern = Pattern(CanonicalCode.minCodeOf(junk), junk, Array(), 0)
     assert(Vqf.bioImportance(Seq(junkPattern), repo) == 0)
   }
 

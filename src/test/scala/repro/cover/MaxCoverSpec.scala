@@ -20,6 +20,12 @@ class MaxCoverSpec extends AnyFunSuite {
     assert(chosen == Seq(0, 2) && cov == 6)
   }
 
+  test("greedy breaks equal gains by the lowest index, zero gains included") {
+    val cands = sets(Seq(5), Seq(0, 1), Seq(2, 3), Seq(1, 2))
+    val (chosen, cov) = MaxCover.greedy(cands, 4, 6)
+    assert(chosen == Seq(1, 2, 0, 3) && cov == 5)
+  }
+
   test("greedy with k larger than candidate count selects everything") {
     val cands = sets(Seq(0), Seq(1))
     val (chosen, cov) = MaxCover.greedy(cands, 5, 2)

@@ -75,6 +75,29 @@ class MoleculeGenSpec extends AnyFunSuite {
     db.graphs.foreach(g => assert(g.numVertices >= 21 && g.numVertices <= 50))
   }
 
+  test("preset resolves every name, each with its own default seed") {
+    val expected = Seq(
+      "aids" -> MoleculeGen.aidsLike(10), "aidsl" -> MoleculeGen.aidsLabeledLike(10),
+      "emol" -> MoleculeGen.eMolLike(10), "pubchem" -> MoleculeGen.pubChemLike(10))
+    expected.foreach { case (name, params) =>
+      assert(MoleculeGen.preset(name, 10) == params, name)
+      assert(MoleculeGen.preset(name.toUpperCase, 10) == params, name.toUpperCase)
+    }
+    assert(MoleculeGen.db(MoleculeGen.preset("emol", 10)).numGraphs == 10)
+  }
+
+  test("preset aidsl carries bond labels") {
+    val db = MoleculeGen.db(MoleculeGen.preset("aidsl", 50))
+    assert(db.graphs.exists(_.edgeLabels.exists(_ != 0)))
+  }
+
+  test("preset rejects unknown names") {
+    Seq("nope", "pub", "").foreach { name =>
+      val e = intercept[IllegalArgumentException](MoleculeGen.preset(name, 5))
+      assert(e.getMessage.contains("unknown dataset preset"), name)
+    }
+  }
+
   test("no duplicate edges") {
     MoleculeGen.db(params).graphs.foreach { g =>
       val pairs = (0 until g.numEdges).map { e =>

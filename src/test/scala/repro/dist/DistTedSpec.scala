@@ -72,6 +72,11 @@ class DistTedSpec extends SparkSpec {
     assert(wide.result.coverage >= base.result.coverage - 1)
   }
 
+  test("a local budget above 64 is rejected on the driver") {
+    val e = intercept[IllegalArgumentException](DistTed.run(spark, ds, cfg, localK = 65))
+    assert(e.getMessage.contains("k must lie in [1, 64]"))
+  }
+
   test("distributed TED on generated molecules reaches sane coverage") {
     val p = MoleculeGen.aidsLike(30)
     val mds = GraphFrames.generateDS(spark, p, partitions = 4)

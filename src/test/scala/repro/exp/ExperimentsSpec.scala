@@ -17,6 +17,7 @@ class ExperimentsSpec extends SparkSpec {
       assert(r.d > 0 && r.eMax >= r.eAvg && r.vMax >= r.vAvg)
       assert(r.eAvg > 0 && r.vAvg > 0)
     }
+    assert(Experiments.renderTable2(rows).map(_.take(7)) == Seq("Dataset", "AIDS   ", "eMol   ", "PubChem"))
   }
 
   test("tables34 produce per-dataset PES rows") {
@@ -30,6 +31,8 @@ class ExperimentsSpec extends SparkSpec {
       assert(r.indexPctOfTotal >= 0 && r.indexPctOfTotal <= 100)
       assert(r.coverageRate > 0 && r.coverageRate <= 1)
     }
+    val lines = Experiments.renderTables34(rows)
+    assert(lines.size == 7 && lines.head.contains("Index KB") && lines.head.contains("Index Time s"))
   }
 
   test("tables56 produce per-query formulation rows") {
@@ -42,6 +45,7 @@ class ExperimentsSpec extends SparkSpec {
       assert(r.tedSteps >= 1 && r.fsSteps >= 1 && r.catapultSteps >= 1)
       assert(r.tedSteps <= r.queryEdges && r.fsSteps <= r.queryEdges + 1)
     }
+    assert(Experiments.renderTable6(rows).tail.map(_.takeWhile(_ != ' ')) == rows.map(_.query))
   }
 
   test("table7 reports importance counts within bounds") {
@@ -52,13 +56,14 @@ class ExperimentsSpec extends SparkSpec {
       supMin = tiny.supMin, minEdges = 2)
     assert(rows.map(_.method) == Seq("FS", "CATAPULT", "TED"))
     rows.foreach(r => assert(r.important >= 0 && r.important <= r.total))
+    assert(Experiments.renderTable7(rows).size == 4)
   }
 
-  test("methodComparison runs all seven methods") {
+  test("methodComparison runs all six methods") {
     val db = MoleculeGen.db(MoleculeGen.aidsLike(tiny.aidsSmall))
     val res = Experiments.methodComparison(db, tiny.k, tiny.eMax, tiny.supMin,
       tiny.timeoutMillis)
-    assert(res.map(_.method) == Seq("ALL_g", "ALL_t", "FSG_g", "FSG_t", "BASE", "PRM", "TED"))
+    assert(res.map(_.method) == Seq("ALL_g", "FSG_g", "FSG_t", "BASE", "PRM", "TED"))
     val byMethod = res.map(r => r.method -> r).toMap
     // Shape assertions from the paper's Result 1: TED comparable to ALL_g,
     // FSG variants no better than ALL_g.
