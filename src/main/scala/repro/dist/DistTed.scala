@@ -30,16 +30,23 @@ final case class PatternCover(code: String, graph_id: Long, edges: Array[Int])
 object DistTed {
 
   /** Phase 1: per-partition sequential TED; returns canonical code keys. */
-  def localCandidates(spark: SparkSession, ds: Dataset[GraphRow], cfg: TedConfig): Seq[String] = {
+  def localCandidates(spark: SparkSession, ds: Dataset[GraphRow], cfg: TedConfig): Seq[String] =
+    localScan(spark, ds, cfg)._1
+
+  /** Phase 1 as one scan: the distinct sorted keys of every partition's
+    * local TED patterns, and whether any partition's `Ted.run` timed out.
+    */
+  private def localScan(spark: SparkSession, ds: Dataset[GraphRow], cfg: TedConfig): (Seq[String], Boolean) = {
     import spark.implicits._
-    ds.mapPartitions { it =>
+    val parts = ds.mapPartitions { it =>
       val graphs = it.map(GraphFrames.toGraph).toIndexedSeq
       if (graphs.isEmpty) Iterator.empty
       else {
-        val db = new repro.graph.GraphDb(graphs)
-        Ted.run(db, cfg).patterns.iterator.map(_.key)
+        val r = Ted.run(new repro.graph.GraphDb(graphs), cfg)
+        Iterator.single((r.patterns.map(_.key), r.timedOut))
       }
-    }.distinct().collect().toSeq.sorted
+    }.collect()
+    (parts.iterator.flatMap(_._1).toSeq.distinct.sorted, parts.exists(_._2))
   }
 
   /** Phase 2: cover sets of the given candidate patterns over every graph
@@ -73,13 +80,15 @@ object DistTed {
   )
 
   /** The full three-phase job. `localK` widens the per-partition pattern
-    * budget (defaults to cfg.k) to enrich the candidate pool.
+    * budget (defaults to cfg.k) to enrich the candidate pool. The result
+    * is `timedOut` if any partition's local TED hit `cfg.timeoutMillis`;
+    * its patterns then come from the candidates found in time.
     */
   def run(spark: SparkSession, ds: Dataset[GraphRow], cfg: TedConfig, localK: Int = 0): DistResult = {
     val t0 = System.nanoTime()
     val parts = ds.rdd.getNumPartitions
     val kLocal = if (localK > 0) localK else cfg.k
-    val candidates = localCandidates(spark, ds, cfg.copy(k = kLocal))
+    val (candidates, timedOut) = localScan(spark, ds, cfg.copy(k = kLocal))
 
     // Global edge-id space: order graphs by id, offset by cumulative edges.
     val sizes = ds.select(col("id"), size(col("src")).as("e"))
@@ -103,7 +112,7 @@ object DistTed {
       Pattern(code, DfsCode.toGraph(code), coverSets(ci), support)
     }
     val res = RunResult("DistTED", patterns, coverage, totalEdges,
-      (System.nanoTime() - t0) / 1000000L, candidates.size.toLong, 0L, 0L, timedOut = false)
+      (System.nanoTime() - t0) / 1000000L, candidates.size.toLong, 0L, 0L, timedOut)
     DistResult(res, candidates.size, parts)
   }
 }

@@ -14,15 +14,27 @@ final case class Emb(graphIdx: Int, vmap: Array[Int], eids: Array[Int])
   * the database, grouped by graph in ascending `graphIdx` order (the order
   * the enumerator produces them in). Cover sets (Definition 2) fall out of
   * the embeddings.
+  *
+  * A node the enumerator makes as a child holds its parent's embeddings
+  * and one extension record per embedding instead: the parent embedding's
+  * index, the new data vertex (-1 for a backward edge) and the new data
+  * edge. `graphIds` and `coverGlobal` read the records; `embeddings` builds
+  * the embeddings on first use and then drops the parent's.
   */
-final class PatternNode(
+final class PatternNode private[enumeration] (
     val code: Vector[CodeEdge],
     val rmPath: List[Int],
     val nVerts: Int,
-    val embeddings: Array[Emb],
+    private var built: Array[Emb],
+    private var parent: Array[Emb],
+    private var ext: Array[Int],
 ) {
-  require((1 until embeddings.length).forall(i => embeddings(i - 1).graphIdx <= embeddings(i).graphIdx),
-    "embeddings must be ordered by graphIdx")
+
+  def this(code: Vector[CodeEdge], rmPath: List[Int], nVerts: Int, embeddings: Array[Emb]) = {
+    this(code, rmPath, nVerts, embeddings, null, null)
+    require((1 until embeddings.length).forall(i => embeddings(i - 1).graphIdx <= embeddings(i).graphIdx),
+      "embeddings must be ordered by graphIdx")
+  }
 
   def numEdges: Int = code.length
 
@@ -30,14 +42,49 @@ final class PatternNode(
 
   lazy val graph: LabeledGraph = DfsCode.toGraph(code)
 
+  /** The embeddings, built from the parent's on first use. */
+  def embeddings: Array[Emb] = {
+    if (built == null) {
+      val n = ext.length / 3
+      val out = new Array[Emb](n)
+      var k = 0
+      while (k < n) {
+        val pe = parent(ext(3 * k))
+        val w = ext(3 * k + 1)
+        val vmap =
+          if (w < 0) pe.vmap
+          else { val a = java.util.Arrays.copyOf(pe.vmap, nVerts); a(nVerts - 1) = w; a }
+        val eids = java.util.Arrays.copyOf(pe.eids, numEdges)
+        eids(numEdges - 1) = ext(3 * k + 2)
+        out(k) = Emb(pe.graphIdx, vmap, eids)
+        k += 1
+      }
+      built = out
+      parent = null
+      ext = null
+    }
+    built
+  }
+
+  private def numEmbeddings: Int = if (built != null) built.length else ext.length / 3
+
+  /** Embedding `k`, or before `embeddings` is built, the parent embedding
+    * it extends.
+    */
+  @inline private def embOrParent(k: Int): Emb = if (built != null) built(k) else parent(ext(3 * k))
+
   /** Distinct database graph indices containing this pattern, ascending. */
   lazy val graphIds: Array[Int] = {
-    val out = new Array[Int](embeddings.length)
-    var n = 0
-    embeddings.foreach { e =>
-      if (n == 0 || out(n - 1) != e.graphIdx) { out(n) = e.graphIdx; n += 1 }
+    val n = numEmbeddings
+    val out = new Array[Int](n)
+    var m = 0
+    var k = 0
+    while (k < n) {
+      val gi = embOrParent(k).graphIdx
+      if (m == 0 || out(m - 1) != gi) { out(m) = gi; m += 1 }
+      k += 1
     }
-    java.util.Arrays.copyOf(out, n)
+    java.util.Arrays.copyOf(out, m)
   }
 
   def support: Int = graphIds.length
@@ -51,36 +98,39 @@ final class PatternNode(
     */
   def coverGlobal(db: GraphDb): Array[Int] = {
     if (coverCache == null) {
-      var total = 0
-      embeddings.foreach(total += _.eids.length)
-      val out = new Array[Int](math.min(total, db.totalEdges))
-      var n = 0
+      val n = numEmbeddings
+      // Before `embeddings` is built, embedding k is a parent embedding
+      // plus edge ext(3k + 2).
+      val ext = if (built == null) this.ext else null
+      val out = new Array[Int](math.min(n.toLong * numEdges, db.totalEdges.toLong).toInt)
+      var m = 0
       var marks = new Array[Long](1)
-      var i = 0
-      while (i < embeddings.length) {
-        val gi = embeddings(i).graphIdx
+      var k = 0
+      while (k < n) {
+        val gi = embOrParent(k).graphIdx
         val off = db.edgeOffset(gi)
         val words = (db.edgeOffset(gi + 1) - off + 63) >>> 6
         if (marks.length < words) marks = new Array[Long](words)
-        while (i < embeddings.length && embeddings(i).graphIdx == gi) {
-          val eids = embeddings(i).eids
+        while (k < n && embOrParent(k).graphIdx == gi) {
+          val eids = embOrParent(k).eids
           var t = 0
           while (t < eids.length) { marks(eids(t) >>> 6) |= 1L << eids(t); t += 1 }
-          i += 1
+          if (ext != null) { val e = ext(3 * k + 2); marks(e >>> 6) |= 1L << e }
+          k += 1
         }
         var w = 0
         while (w < words) {
           var bits = marks(w)
           marks(w) = 0L
           while (bits != 0L) {
-            out(n) = off + (w << 6) + java.lang.Long.numberOfTrailingZeros(bits)
-            n += 1
+            out(m) = off + (w << 6) + java.lang.Long.numberOfTrailingZeros(bits)
+            m += 1
             bits &= bits - 1
           }
           w += 1
         }
       }
-      coverCache = if (n == out.length) out else java.util.Arrays.copyOf(out, n)
+      coverCache = if (m == out.length) out else java.util.Arrays.copyOf(out, m)
     }
     coverCache
   }
@@ -95,7 +145,8 @@ final class TedTimeout(val elapsedMillis: Long) extends RuntimeException(s"deadl
 
 /** Database-wide subgraph enumeration by right-most extension with
   * canonical-code duplicate pruning — the substrate of ALL_g/ALL_t (gSpan
-  * without support pruning) and FSG_g/FSG_t (with `minSupport`).
+  * without support pruning) and FSG_g/FSG_t (with `minSupport`). Not
+  * thread-safe: `children` reuses one extension table.
   *
   * @param minSupport minimum number of distinct graphs containing a
   *                   pattern (1 = enumerate everything); anti-monotone,
@@ -108,69 +159,74 @@ final class Enumerator(
     val deadlineNanos: Long = Long.MaxValue,
 ) {
   private val startNanos = System.nanoTime()
+  private val table = new ExtensionTable
 
   def checkDeadline(): Unit =
     if (System.nanoTime() > deadlineNanos)
       throw new TedTimeout((System.nanoTime() - startNanos) / 1000000L)
 
-  /** All 1-edge patterns, in canonical-tuple order. */
-  def roots: IndexedSeq[PatternNode] = {
-    val byTuple = mutable.Map.empty[CodeEdge, mutable.ArrayBuffer[Emb]]
+  /** All 1-edge patterns, in canonical-tuple order; built once. Each
+    * record is (graph, first endpoint, edge).
+    */
+  lazy val roots: IndexedSeq[PatternNode] = {
+    val t = table
+    t.clear()
     var gi = 0
     while (gi < db.numGraphs) {
       val g = db.graphs(gi)
+      t.source = gi
       var e = 0
       while (e < g.numEdges) {
-        var o = 0
-        while (o < 2) {
-          val u = if (o == 0) g.src(e) else g.dst(e)
-          val v = if (o == 0) g.dst(e) else g.src(e)
-          val lu = g.vertexLabel(u); val lv = g.vertexLabel(v)
-          if (lu <= lv) {
-            val ce = CodeEdge(0, 1, lu, g.edgeLabel(e), lv)
-            byTuple.getOrElseUpdate(ce, mutable.ArrayBuffer.empty) +=
-              Emb(gi, Array(u, v), Array(e))
-          }
-          o += 1
-        }
+        val lu = g.vertexLabel(g.src(e)); val lv = g.vertexLabel(g.dst(e))
+        if (lu <= lv) t.extension(0, 1, lu, g.edgeLabel(e), lv, g.src(e), e)
+        if (lv <= lu) t.extension(0, 1, lv, g.edgeLabel(e), lu, g.dst(e), e)
         e += 1
       }
       gi += 1
     }
-    byTuple.toIndexedSeq
-      .sortBy(_._1)(CodeEdge.ordering)
-      .map { case (ce, embs) => new PatternNode(Vector(ce), List(1, 0), 2, embs.toArray) }
-      .filter(_.support >= minSupport)
+    t.sortedGroups().iterator.map { grp =>
+      val rec = t.records(grp)
+      val embs = Array.tabulate(rec.length / 3) { k =>
+        val gi = rec(3 * k); val u = rec(3 * k + 1); val e = rec(3 * k + 2)
+        val g = db.graphs(gi)
+        Emb(gi, Array(u, g.src(e) + g.dst(e) - u), Array(e))
+      }
+      new PatternNode(Vector(t.codeEdge(grp)), List(1, 0), 2, embs)
+    }.filter(_.support >= minSupport).toIndexedSeq
   }
 
   /** Canonical children of `p`: every right-most extension grouped across
-    * embeddings, kept iff its code is minimal (gSpan dedup) and its
-    * support clears `minSupport`. Does not check `eMax` — callers stop
+    * embeddings, kept iff its support clears `minSupport` and its code is
+    * minimal (gSpan dedup). Both checks run on the grouped extension
+    * records; a kept child copies only its records and builds its
+    * embeddings when they are read. Does not check `eMax` — callers stop
     * descending at `numEdges == eMax`.
     */
   def children(p: PatternNode): IndexedSeq[PatternNode] = {
     checkDeadline()
-    val byExt = mutable.Map.empty[CodeEdge, mutable.ArrayBuffer[Emb]]
-    p.embeddings.foreach { emb =>
-      val g = db.graphs(emb.graphIdx)
-      RightMost.foreachExtension(g, p.rmPath, p.nVerts, emb.vmap, emb.eids) { (ce, w, eid) =>
-        val nv = if (w >= 0) emb.vmap :+ w else emb.vmap
-        byExt.getOrElseUpdate(ce, mutable.ArrayBuffer.empty) +=
-          Emb(emb.graphIdx, nv, emb.eids :+ eid)
-      }
+    val embs = p.embeddings
+    val t = table
+    t.clear()
+    var k = 0
+    while (k < embs.length) {
+      val emb = embs(k)
+      t.source = k
+      RightMost.extend(db.graphs(emb.graphIdx), p.rmPath, p.nVerts, emb.vmap, emb.eids, t)
+      k += 1
     }
-    byExt.toIndexedSeq
-      .sortBy(_._1)(CodeEdge.ordering)
-      .flatMap { case (ce, embs) =>
+    val out = mutable.ArrayBuffer.empty[PatternNode]
+    t.sortedGroups().foreach { grp =>
+      if (minSupport <= 1 || t.support(grp, embs) >= minSupport) {
+        val ce = t.codeEdge(grp)
         val code = p.code :+ ce
-        if (!CanonicalCode.isMin(code)) None
-        else {
+        if (CanonicalCode.isMin(code)) {
           val rm = if (ce.isForward) DfsCode.extendRmPath(p.rmPath, ce) else p.rmPath
           val nv = if (ce.isForward) p.nVerts + 1 else p.nVerts
-          val node = new PatternNode(code, rm, nv, embs.toArray)
-          if (node.support >= minSupport) Some(node) else None
+          out += new PatternNode(code, rm, nv, null, embs, t.records(grp))
         }
       }
+    }
+    out.toIndexedSeq
   }
 
   /** Depth-first traversal of the whole (support-pruned) search space up
@@ -191,5 +247,150 @@ final class Enumerator(
     val buf = mutable.ArrayBuffer.empty[PatternNode]
     traverse { n => buf += n; true }
     buf.toIndexedSeq
+  }
+}
+
+/** Extension records grouped by extension tuple, reused across calls, so
+  * that nothing is allocated per extension once its buffers have grown.
+  *
+  * A record is four ints of `recs`: the source index it was tagged with
+  * (the parent embedding, or the graph for roots), the new data vertex
+  * (-1 for a backward extension), the data edge and the group's next
+  * record. A group holds its tuple (five ints of `tuples`) and its records
+  * chained in arrival order. Groups are found through an open-addressing
+  * table of group index + 1 keyed by the whole tuple, so labels keep their
+  * full `Int` range.
+  */
+private final class ExtensionTable extends RightMost.Sink {
+  /** The source index the next records are tagged with. */
+  var source = 0
+
+  private var nGroups = 0
+  private var tuples = new Array[Int](5 * 16)
+  private var heads, tails, sizes, slotOf = new Array[Int](16)
+  private var slots = new Array[Int](32)
+
+  private var nRecs = 0
+  private var recs = new Array[Int](4 * 256)
+
+  def clear(): Unit = {
+    var g = 0
+    while (g < nGroups) { slots(slotOf(g)) = 0; g += 1 }
+    nGroups = 0
+    nRecs = 0
+  }
+
+  def extension(i: Int, j: Int, li: Int, le: Int, lj: Int, w: Int, e: Int): Unit = {
+    val g = group(i, j, li, le, lj)
+    if (4 * nRecs + 4 > recs.length) recs = java.util.Arrays.copyOf(recs, 2 * recs.length)
+    val o = 4 * nRecs
+    recs(o) = source; recs(o + 1) = w; recs(o + 2) = e; recs(o + 3) = -1
+    if (tails(g) < 0) heads(g) = nRecs else recs(4 * tails(g) + 3) = nRecs
+    tails(g) = nRecs
+    sizes(g) += 1
+    nRecs += 1
+  }
+
+  private def hash(i: Int, j: Int, li: Int, le: Int, lj: Int): Int = {
+    var h = i
+    h = h * 0x9E3779B1 + j
+    h = h * 0x9E3779B1 + li
+    h = h * 0x9E3779B1 + le
+    h = h * 0x9E3779B1 + lj
+    h ^ (h >>> 15)
+  }
+
+  /** The index of the group with this tuple, added if new. */
+  private def group(i: Int, j: Int, li: Int, le: Int, lj: Int): Int = {
+    val mask = slots.length - 1
+    var s = hash(i, j, li, le, lj) & mask
+    while (slots(s) != 0) {
+      val g = slots(s) - 1
+      val o = 5 * g
+      if (tuples(o) == i && tuples(o + 1) == j && tuples(o + 2) == li &&
+          tuples(o + 3) == le && tuples(o + 4) == lj) return g
+      s = (s + 1) & mask
+    }
+    val g = nGroups
+    if (g == heads.length) {
+      val n = 2 * g
+      tuples = java.util.Arrays.copyOf(tuples, 5 * n)
+      heads = java.util.Arrays.copyOf(heads, n); tails = java.util.Arrays.copyOf(tails, n)
+      sizes = java.util.Arrays.copyOf(sizes, n); slotOf = java.util.Arrays.copyOf(slotOf, n)
+    }
+    val o = 5 * g
+    tuples(o) = i; tuples(o + 1) = j; tuples(o + 2) = li; tuples(o + 3) = le; tuples(o + 4) = lj
+    heads(g) = -1; tails(g) = -1; sizes(g) = 0
+    slots(s) = g + 1; slotOf(g) = s
+    nGroups += 1
+    if (2 * nGroups > slots.length) rehash()
+    g
+  }
+
+  private def rehash(): Unit = {
+    slots = new Array[Int](2 * slots.length)
+    val mask = slots.length - 1
+    var g = 0
+    while (g < nGroups) {
+      val o = 5 * g
+      var s = hash(tuples(o), tuples(o + 1), tuples(o + 2), tuples(o + 3), tuples(o + 4)) & mask
+      while (slots(s) != 0) s = (s + 1) & mask
+      slots(s) = g + 1; slotOf(g) = s
+      g += 1
+    }
+  }
+
+  /** Group indices in `CodeEdge.ordering` of their tuples. */
+  def sortedGroups(): Array[Int] = {
+    val order = Array.range(0, nGroups)
+    var a = 1
+    while (a < nGroups) {
+      val g = order(a)
+      var b = a - 1
+      while (b >= 0 && compare(order(b), g) > 0) { order(b + 1) = order(b); b -= 1 }
+      order(b + 1) = g
+      a += 1
+    }
+    order
+  }
+
+  private def compare(g: Int, h: Int): Int = {
+    val x = 5 * g; val y = 5 * h
+    CodeEdge.compare(tuples(x), tuples(x + 1), tuples(x + 2), tuples(x + 3), tuples(x + 4),
+      tuples(y), tuples(y + 1), tuples(y + 2), tuples(y + 3), tuples(y + 4))
+  }
+
+  def codeEdge(g: Int): CodeEdge = {
+    val o = 5 * g
+    CodeEdge(tuples(o), tuples(o + 1), tuples(o + 2), tuples(o + 3), tuples(o + 4))
+  }
+
+  /** Distinct graphs among group `g`'s records, whose sources index
+    * `embs` (ordered by graph).
+    */
+  def support(g: Int, embs: Array[Emb]): Int = {
+    var n = 0
+    var last = -1
+    var r = heads(g)
+    while (r >= 0) {
+      val gi = embs(recs(4 * r)).graphIdx
+      if (gi != last) { n += 1; last = gi }
+      r = recs(4 * r + 3)
+    }
+    n
+  }
+
+  /** Group `g`'s records as (source, vertex, edge) triples. */
+  def records(g: Int): Array[Int] = {
+    val out = new Array[Int](3 * sizes(g))
+    var k = 0
+    var r = heads(g)
+    while (r >= 0) {
+      val o = 4 * r
+      out(k) = recs(o); out(k + 1) = recs(o + 1); out(k + 2) = recs(o + 2)
+      k += 3
+      r = recs(o + 3)
+    }
+    out
   }
 }

@@ -7,7 +7,9 @@ package repro.graph
   * Vertices are `0 until numVertices` with integer labels (atom ids in the
   * molecule generator). Edges are parallel arrays `src/dst/edgeLabels`;
   * edge ids are positions in those arrays. Adjacency is a CSR built once
-  * at construction.
+  * at construction. The constructor rejects, naming the graph and the
+  * edge, an endpoint outside the vertex range, a self loop and parallel
+  * edges (right-most extension would see only one of them).
   *
   * For vertex-labeled / edge-unlabeled databases the paper (footnote 5)
   * derives an edge label from the endpoint labels; since every DFS-code
@@ -29,15 +31,19 @@ final class LabeledGraph(
 
   // CSR adjacency: vertex v's incident (neighbor, edgeId) pairs live at
   // positions adjStart(v) until adjStart(v+1) of adjVert/adjEdge.
-  private val adjStart: Array[Int] = new Array[Int](numVertices + 1)
-  private val adjVert: Array[Int]  = new Array[Int](numEdges * 2)
-  private val adjEdge: Array[Int]  = new Array[Int](numEdges * 2)
+  private[graph] val adjStart: Array[Int] = new Array[Int](numVertices + 1)
+  private[graph] val adjVert: Array[Int]  = new Array[Int](numEdges * 2)
+  private[graph] val adjEdge: Array[Int]  = new Array[Int](numEdges * 2)
   locally {
     val deg = new Array[Int](numVertices)
     var e = 0
     while (e < numEdges) {
-      require(src(e) != dst(e), s"self loop at edge $e of graph $id")
-      deg(src(e)) += 1; deg(dst(e)) += 1
+      val u = src(e); val w = dst(e)
+      if (u < 0 || u >= numVertices || w < 0 || w >= numVertices)
+        throw new IllegalArgumentException(
+          s"edge $e ($u, $w) of graph $id has an endpoint outside [0, $numVertices)")
+      if (u == w) throw new IllegalArgumentException(s"self loop at edge $e of graph $id")
+      deg(u) += 1; deg(w) += 1
       e += 1
     }
     var v = 0
@@ -49,6 +55,23 @@ final class LabeledGraph(
       adjVert(fill(u)) = w; adjEdge(fill(u)) = e; fill(u) += 1
       adjVert(fill(w)) = u; adjEdge(fill(w)) = e; fill(w) += 1
       e += 1
+    }
+    // No parallel edges: each vertex meets a neighbor once. `deg` and
+    // `fill` are reused as the vertex last met from and the edge it was met
+    // by.
+    java.util.Arrays.fill(deg, -1)
+    v = 0
+    while (v < numVertices) {
+      var a = adjStart(v)
+      while (a < adjStart(v + 1)) {
+        val w = adjVert(a)
+        if (deg(w) == v)
+          throw new IllegalArgumentException(
+            s"parallel edges ${fill(w)} and ${adjEdge(a)} between vertices $v and $w of graph $id")
+        deg(w) = v; fill(w) = adjEdge(a)
+        a += 1
+      }
+      v += 1
     }
   }
 
@@ -67,7 +90,8 @@ final class LabeledGraph(
     * adjacency list; degrees are tiny (molecule valence <= 4).
     */
   def edgeBetween(u: Int, v: Int): Int = {
-    val (a, b) = if (degree(u) <= degree(v)) (u, v) else (v, u)
+    val a = if (degree(u) <= degree(v)) u else v
+    val b = u + v - a
     var i = adjStart(a)
     val end = adjStart(a + 1)
     while (i < end) {

@@ -7,6 +7,14 @@ package repro.graph
   */
 object RightMost {
 
+  /** Receives right-most extensions as unpacked tuples `(i, j, li, le,
+    * lj)`, with the new data vertex (-1 for a backward extension) and the
+    * data edge id; nothing is allocated per extension.
+    */
+  trait Sink {
+    def extension(i: Int, j: Int, li: Int, le: Int, lj: Int, w: Int, e: Int): Unit
+  }
+
   @inline private def mapped(vmap: Array[Int], w: Int): Boolean = {
     var i = 0
     while (i < vmap.length) { if (vmap(i) == w) return true; i += 1 }
@@ -19,22 +27,55 @@ object RightMost {
     false
   }
 
-  /** Enumerate every right-most extension of one embedding.
+  /** Enumerate every right-most extension of one embedding into `sink`.
     *
     * @param g      data graph the embedding maps into
     * @param rmPath right-most path of the pattern, head = right-most vertex
     * @param nVerts number of pattern vertices
     * @param vmap   pattern vertex -> data vertex (injective)
     * @param eids   data edge ids imaging the code edges, in code order
-    * @param f      callback (codeEdge, newDataVertex or -1 for backward,
-    *               dataEdgeId)
     *
     * Backward extensions run from the right-most vertex to a vertex on the
     * right-most path whose connecting data edge is not yet part of the
     * embedding (vertex maps are injective, so a data edge can only image
-    * the one pattern edge between its endpoints' preimages). Forward
-    * extensions run from any right-most-path vertex to an unmapped data
-    * neighbor, introducing pattern vertex `nVerts`.
+    * the one pattern edge between its endpoints' preimages); they come
+    * first, nearest the right-most vertex first. Forward extensions run
+    * from any right-most-path vertex, right-most first, to an unmapped data
+    * neighbor in adjacency order, introducing pattern vertex `nVerts`.
+    */
+  def extend(g: LabeledGraph, rmPath: List[Int], nVerts: Int, vmap: Array[Int], eids: Array[Int],
+             sink: Sink): Unit = {
+    val vl = g.vertexLabels
+    val el = g.edgeLabels
+    val r  = rmPath.head
+    val fr = vmap(r)
+    var xs = rmPath.tail
+    while (xs.nonEmpty) {
+      val x = xs.head
+      val e = g.edgeBetween(fr, vmap(x))
+      if (e >= 0 && !usesEdge(eids, e)) sink.extension(r, x, vl(fr), el(e), vl(vmap(x)), -1, e)
+      xs = xs.tail
+    }
+    xs = rmPath
+    while (xs.nonEmpty) {
+      val x  = xs.head
+      val fx = vmap(x)
+      var a = g.adjStart(fx)
+      val end = g.adjStart(fx + 1)
+      while (a < end) {
+        val w = g.adjVert(a)
+        if (!mapped(vmap, w)) {
+          val e = g.adjEdge(a)
+          sink.extension(x, nVerts, vl(fx), el(e), vl(w), w, e)
+        }
+        a += 1
+      }
+      xs = xs.tail
+    }
+  }
+
+  /** [[extend]] with each extension as a [[CodeEdge]]: callback
+    * (codeEdge, newDataVertex or -1 for backward, dataEdgeId).
     */
   def foreachExtension(
       g: LabeledGraph,
@@ -42,28 +83,9 @@ object RightMost {
       nVerts: Int,
       vmap: Array[Int],
       eids: Array[Int],
-  )(f: (CodeEdge, Int, Int) => Unit): Unit = {
-    val r  = rmPath.head
-    val fr = vmap(r)
-    var xs = rmPath.tail
-    while (xs.nonEmpty) {
-      val x = xs.head
-      val e = g.edgeBetween(fr, vmap(x))
-      if (e >= 0 && !usesEdge(eids, e))
-        f(CodeEdge(r, x, g.vertexLabel(fr), g.edgeLabel(e), g.vertexLabel(vmap(x))), -1, e)
-      xs = xs.tail
-    }
-    xs = rmPath
-    while (xs.nonEmpty) {
-      val x  = xs.head
-      val fx = vmap(x)
-      g.foreachNeighbor(fx) { (w, e) =>
-        if (!mapped(vmap, w))
-          f(CodeEdge(x, nVerts, g.vertexLabel(fx), g.edgeLabel(e), g.vertexLabel(w)), w, e)
-      }
-      xs = xs.tail
-    }
-  }
+  )(f: (CodeEdge, Int, Int) => Unit): Unit =
+    extend(g, rmPath, nVerts, vmap, eids,
+      (i, j, li, le, lj, w, e) => f(CodeEdge(i, j, li, le, lj), w, e))
 }
 
 /** gSpan canonical form: the minimum DFS code of a connected graph, and

@@ -72,6 +72,14 @@ class DistTedSpec extends SparkSpec {
     assert(wide.result.coverage >= base.result.coverage - 1)
   }
 
+  test("a partition's timeout is reported in the result") {
+    assert(DistTed.run(spark, ds, cfg.copy(timeoutMillis = 0)).result.timedOut)
+  }
+
+  test("a run within its deadline is not timed out") {
+    assert(!DistTed.run(spark, ds, cfg).result.timedOut)
+  }
+
   test("a local budget above 64 is rejected on the driver") {
     val e = intercept[IllegalArgumentException](DistTed.run(spark, ds, cfg, localK = 65))
     assert(e.getMessage.contains("k must lie in [1, 64]"))

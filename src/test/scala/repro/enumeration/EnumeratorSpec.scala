@@ -5,13 +5,54 @@ import scala.collection.mutable
 import scala.util.Random
 import repro.TestGraphs
 import repro.data.SampleDb
-import repro.graph.{GraphDb, LabeledGraph}
+import repro.graph.{CodeEdge, GraphDb, LabeledGraph, RightMost}
 
 class EnumeratorSpec extends AnyFunSuite {
 
   private def enumerate(db: GraphDb, eMax: Int, minSupport: Int = 1): Seq[PatternNode] = {
     val en = new Enumerator(db, eMax, minSupport)
     en.collectAll()
+  }
+
+  /** Databases with several embeddings per graph and edges shared between
+    * embeddings: random graphs over two labels, one of them twice, and a
+    * 6x8 grid (82 edges) whose local edge ids pass one 64-bit word.
+    */
+  private def randomDbs(seed: Int): Seq[GraphDb] = {
+    val rng = new Random(seed)
+    val grid = LabeledGraph(99, Seq.fill(48)(rng.nextInt(2)),
+      (0 until 48).flatMap { v =>
+        (if (v % 8 < 7) Seq((v, v + 1, 0)) else Nil) ++ (if (v / 8 < 5) Seq((v, v + 8, 0)) else Nil)
+      })
+    (1 to 4).map { round =>
+      val graphs = IndexedSeq.tabulate(5)(i => TestGraphs.randomConnected(rng, 7, 3, 2, 1, id = i))
+      new GraphDb((graphs :+ graphs(0)).patch(round, Seq(grid), 0))
+    }
+  }
+
+  /** The children of `p` built eagerly from its embeddings with
+    * `RightMost.foreachExtension`: extension -> embeddings, in order.
+    */
+  private def eagerChildren(db: GraphDb, p: PatternNode): Map[CodeEdge, Seq[Emb]] = {
+    val byExt = mutable.Map.empty[CodeEdge, mutable.ArrayBuffer[Emb]]
+    p.embeddings.foreach { emb =>
+      RightMost.foreachExtension(db.graphs(emb.graphIdx), p.rmPath, p.nVerts, emb.vmap, emb.eids) { (ce, w, e) =>
+        byExt.getOrElseUpdate(ce, mutable.ArrayBuffer.empty) +=
+          Emb(emb.graphIdx, if (w >= 0) emb.vmap :+ w else emb.vmap, emb.eids :+ e)
+      }
+    }
+    byExt.toMap.map { case (ce, embs) => ce -> embs.toSeq }
+  }
+
+  /** Depth-first walk in `collectAll` order, calling `f(parent, child)`. */
+  private def walk(en: Enumerator)(f: (PatternNode, PatternNode) => Unit): Seq[String] = {
+    val keys = mutable.ArrayBuffer.empty[String]
+    def go(p: PatternNode): Unit = {
+      keys += p.key
+      if (p.numEdges < en.eMax) en.children(p).foreach { c => f(p, c); go(c) }
+    }
+    en.roots.foreach(go)
+    keys.toSeq
   }
 
   test("roots are the distinct labeled edges") {
@@ -124,17 +165,9 @@ class EnumeratorSpec extends AnyFunSuite {
   }
 
   test("coverGlobal and graphIds equal a naive Set-based reference") {
-    val rng = new Random(43)
-    // A 6x8 grid (82 edges) keeps local edge ids past one 64-bit word.
-    val grid = LabeledGraph(99, Seq.fill(48)(rng.nextInt(2)),
-      (0 until 48).flatMap { v =>
-        (if (v % 8 < 7) Seq((v, v + 1, 0)) else Nil) ++ (if (v / 8 < 5) Seq((v, v + 8, 0)) else Nil)
-      })
     var sharedEdges = 0
     var sharedGraphs = 0
-    (1 to 4).foreach { round =>
-      val graphs = IndexedSeq.tabulate(5)(i => TestGraphs.randomConnected(rng, 7, 3, 2, 1, id = i))
-      val db = new GraphDb(graphs.patch(round, Seq(grid), 0))
+    randomDbs(43).foreach { db =>
       enumerate(db, 3).foreach { n =>
         val edgeImages = n.embeddings.toSeq.flatMap(e => e.eids.toSeq.map(db.edgeOffset(e.graphIdx) + _))
         val naiveCover = edgeImages.toSet.toSeq.sorted
@@ -146,6 +179,54 @@ class EnumeratorSpec extends AnyFunSuite {
       }
     }
     assert(sharedEdges > 0 && sharedGraphs > 0)
+  }
+
+  test("every node's embeddings equal an eager reference built from its parent") {
+    var multi = 0
+    randomDbs(11).foreach { db =>
+      val keys = walk(new Enumerator(db, 4)) { (p, c) =>
+        val expected = eagerChildren(db, p)(c.code.last)
+        val got = c.embeddings
+        assert(got.length == expected.length, c.key)
+        got.zip(expected).foreach { case (a, b) =>
+          assert(a.graphIdx == b.graphIdx && a.vmap.toSeq == b.vmap.toSeq && a.eids.toSeq == b.eids.toSeq, c.key)
+        }
+        if (got.length > c.support) multi += 1
+      }
+      assert(keys == enumerate(db, 4).map(_.key))
+    }
+    assert(multi > 0)
+  }
+
+  test("graphIds and coverGlobal read before the embeddings are built equal those after") {
+    var sharedEdges = 0
+    randomDbs(12).foreach { db =>
+      walk(new Enumerator(db, 4)) { (_, c) =>
+        val ids = c.graphIds.toSeq
+        val cover = c.coverGlobal(db).toSeq
+        val built = new PatternNode(c.code, c.rmPath, c.nVerts, c.embeddings)
+        assert(built.graphIds.toSeq == ids, c.key)
+        assert(built.coverGlobal(db).toSeq == cover, c.key)
+        if (c.embeddings.map(_.eids.length).sum > cover.length) sharedEdges += 1
+      }
+    }
+    assert(sharedEdges > 0)
+  }
+
+  test("roots are built once per enumerator") {
+    val en = new Enumerator(SampleDb.db, 3)
+    assert(en.roots eq en.roots)
+  }
+
+  test("extension grouping keeps labels over the full Int range") {
+    // A star of 40 leaves under extreme labels: 40 root tuples and 39
+    // children per root pass the grouping table's initial capacity.
+    val rng = new Random(3)
+    val labels = Seq(Int.MinValue, Int.MaxValue, -1, 0, 1) ++ Seq.fill(36)(rng.nextInt())
+    val star = LabeledGraph(0, labels, (1 to 40).map(v => (0, v, if (v % 2 == 0) Int.MinValue else Int.MaxValue)))
+    val got = enumerate(new GraphDb(IndexedSeq(star)), 2).map(_.key)
+    assert(got.toSet == TestGraphs.bruteForceSubgraphs(star, 2).keySet)
+    assert(got.distinct.length == got.length)
   }
 
   test("a pattern node requires its embeddings in graph order") {

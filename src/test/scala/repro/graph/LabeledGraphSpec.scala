@@ -32,6 +32,19 @@ class LabeledGraphSpec extends AnyFunSuite {
     assert(triangle.edgeBetween(2, 0) == 2)
   }
 
+  test("an endpoint outside the vertex range is rejected, naming the graph and edge") {
+    val high = intercept[IllegalArgumentException](LabeledGraph(7, Seq(0, 1), Seq((0, 1, 0), (1, 2, 0))))
+    assert(high.getMessage.contains("edge 1 (1, 2) of graph 7"))
+    val low = intercept[IllegalArgumentException](LabeledGraph(7, Seq(0, 1), Seq((-1, 0, 0))))
+    assert(low.getMessage.contains("edge 0 (-1, 0) of graph 7"))
+  }
+
+  test("parallel edges are rejected, naming the graph and both edges") {
+    val e = intercept[IllegalArgumentException](
+      LabeledGraph(8, Seq(0, 1, 2), Seq((0, 1, 0), (1, 2, 0), (1, 0, 3))))
+    assert(e.getMessage.contains("parallel edges 0 and 2 between vertices 0 and 1 of graph 8"))
+  }
+
   test("edgeBetween returns -1 for absent edges") {
     val path = LabeledGraph(2, Seq(0, 0, 0), Seq((0, 1, 0), (1, 2, 0)))
     assert(path.edgeBetween(0, 2) == -1)
