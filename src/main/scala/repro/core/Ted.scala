@@ -1,6 +1,5 @@
 package repro.core
 
-import scala.collection.mutable
 import repro.cover.PesIndex
 import repro.enumeration.{Enumerator, PatternNode, TedTimeout}
 import repro.graph._
@@ -173,12 +172,20 @@ object Ted {
 
   /** Support derived from a cover set: the distinct graphs it touches
     * (each embedding contributes its own graph's edges, so the covered
-    * graphs are exactly the containing graphs).
+    * graphs are exactly the containing graphs). Each graph owns a
+    * contiguous range of global edge ids, so along the sorted cover the
+    * distinct graphs are the changes of graph.
     */
   private def supportOf(db: GraphDb, cover: Array[Int]): Int = {
-    val s = mutable.Set.empty[Int]
-    cover.foreach(e => s += db.graphOfEdge(e))
-    s.size
+    var n = 0
+    var last = -1
+    var i = 0
+    while (i < cover.length) {
+      val g = db.graphOfEdge(cover(i))
+      if (g != last) { n += 1; last = g }
+      i += 1
+    }
+    n
   }
 
   /** TED_BASE: Algorithm 3 without either optimization. */
@@ -196,7 +203,9 @@ object Ted {
 
 /** Initial Pattern Selection (Section 5.2): benefit-greedy hill climbing
   * from every 1-edge root, then the k climbed patterns with maximum
-  * coverage become the initial pattern set.
+  * coverage become the initial pattern set. The enumerator keeps every
+  * children list the climbs compute, so the DFS that follows takes them
+  * instead of expanding those nodes again.
   */
 object Ips {
   def initialPatterns(en: Enumerator, db: GraphDb, cfg: TedConfig): Seq[PatternNode] = {
@@ -205,7 +214,7 @@ object Ips {
       var curCov = cur.coverage(db)
       var go = true
       while (go && cur.numEdges < cfg.eMax) {
-        val kids = en.children(cur)
+        val kids = en.childrenKept(cur)
         if (kids.isEmpty) go = false
         else {
           val best = kids.maxBy(_.coverage(db))

@@ -146,7 +146,8 @@ final class TedTimeout(val elapsedMillis: Long) extends RuntimeException(s"deadl
 /** Database-wide subgraph enumeration by right-most extension with
   * canonical-code duplicate pruning — the substrate of ALL_g/ALL_t (gSpan
   * without support pruning) and FSG_g/FSG_t (with `minSupport`). Not
-  * thread-safe: `children` reuses one extension table.
+  * thread-safe: `children` reuses one extension table and takes the lists
+  * `childrenKept` left.
   *
   * @param minSupport minimum number of distinct graphs containing a
   *                   pattern (1 = enumerate everything); anti-monotone,
@@ -160,15 +161,20 @@ final class Enumerator(
 ) {
   private val startNanos = System.nanoTime()
   private val table = new ExtensionTable
+  private val handedOff = new java.util.IdentityHashMap[PatternNode, IndexedSeq[PatternNode]]
 
   def checkDeadline(): Unit =
     if (System.nanoTime() > deadlineNanos)
       throw new TedTimeout((System.nanoTime() - startNanos) / 1000000L)
 
-  /** All 1-edge patterns, in canonical-tuple order; built once. Each
-    * record is (graph, first endpoint, edge).
+  /** All 1-edge patterns, in canonical-tuple order; built once. */
+  lazy val roots: IndexedSeq[PatternNode] = buildRoots()
+
+  /** The roots' grouping loop, in an ordinary method rather than the lazy
+    * val's initializer, where the JIT compiles it poorly. Each record is
+    * (graph, first endpoint, edge).
     */
-  lazy val roots: IndexedSeq[PatternNode] = {
+  private def buildRoots(): IndexedSeq[PatternNode] = {
     val t = table
     t.clear()
     var gi = 0
@@ -195,6 +201,17 @@ final class Enumerator(
     }.filter(_.support >= minSupport).toIndexedSeq
   }
 
+  /** `children(p)`, also kept for the next `children` call on the same
+    * node object, which returns this list and releases it. IPS expands
+    * the roots and the nodes it climbs through with this, so the DFS that
+    * follows reuses those lists and the covers cached on them.
+    */
+  private[repro] def childrenKept(p: PatternNode): IndexedSeq[PatternNode] = {
+    val kids = children(p)
+    handedOff.put(p, kids)
+    kids
+  }
+
   /** Canonical children of `p`: every right-most extension grouped across
     * embeddings, kept iff its support clears `minSupport` and its code is
     * minimal (gSpan dedup). Both checks run on the grouped extension
@@ -204,6 +221,10 @@ final class Enumerator(
     */
   def children(p: PatternNode): IndexedSeq[PatternNode] = {
     checkDeadline()
+    if (!handedOff.isEmpty) {
+      val kept = handedOff.remove(p)
+      if (kept != null) return kept
+    }
     val embs = p.embeddings
     val t = table
     t.clear()

@@ -1,12 +1,17 @@
 package repro.graph
 
+import scala.collection.immutable.ArraySeq
+
 /** A graph database `D = {G_1..G_n}` with a global edge-id space.
   *
   * Global edge id = `edgeOffset(graphIdx) + localEdgeId`; cover sets
   * (Definition 2/3) are sets of global edge ids, so coverage arithmetic is
   * flat integer-set arithmetic regardless of which graph an edge lives in.
   */
-final class GraphDb(val graphs: IndexedSeq[LabeledGraph]) extends Serializable {
+final class GraphDb(graphSeq: IndexedSeq[LabeledGraph]) extends Serializable {
+
+  /** The graphs, array-backed: the enumerator reads one per embedding. */
+  val graphs: IndexedSeq[LabeledGraph] = ArraySeq.from(graphSeq)
 
   val numGraphs: Int = graphs.length
 

@@ -93,5 +93,21 @@ object TestGraphs {
       SubIso.coverSet(pattern, db.graphs(gi)).map(db.edgeOffset(gi) + _)
     }.toSet
 
+  /** Databases with several embeddings per graph and edges shared between
+    * embeddings: random graphs over two labels, one of them twice, and a
+    * 6x8 grid (82 edges) whose local edge ids pass one 64-bit word.
+    */
+  def randomDbs(seed: Int): Seq[GraphDb] = {
+    val rng = new Random(seed)
+    val grid = LabeledGraph(99, Seq.fill(48)(rng.nextInt(2)),
+      (0 until 48).flatMap { v =>
+        (if (v % 8 < 7) Seq((v, v + 1, 0)) else Nil) ++ (if (v / 8 < 5) Seq((v, v + 8, 0)) else Nil)
+      })
+    (1 to 4).map { round =>
+      val graphs = IndexedSeq.tabulate(5)(i => randomConnected(rng, 7, 3, 2, 1, id = i))
+      new GraphDb((graphs :+ graphs(0)).patch(round, Seq(grid), 0))
+    }
+  }
+
   def db(graphs: LabeledGraph*): GraphDb = new GraphDb(graphs.toIndexedSeq)
 }

@@ -206,10 +206,16 @@ class TedSpec extends AnyFunSuite {
   }
 
   test("support recorded on patterns matches containing graphs") {
-    val res = Ted.full(SampleDb.db, cfg)
-    res.patterns.foreach { p =>
-      val expected = SampleDb.db.graphs.count(g => repro.iso.SubIso.exists(p.graph, g))
-      assert(p.support == expected, s"pattern ${p.key}")
+    var multiGraph = 0
+    (SampleDb.db +: TestGraphs.randomDbs(17)).foreach { db =>
+      Seq(Ted.full _, Ted.prm _, Ted.base _).foreach { method =>
+        method(db, cfg).patterns.foreach { p =>
+          val expected = db.graphs.count(g => repro.iso.SubIso.exists(p.graph, g))
+          assert(p.support == expected, s"pattern ${p.key}")
+          if (expected > 1) multiGraph += 1
+        }
+      }
     }
+    assert(multiGraph > 0)
   }
 }

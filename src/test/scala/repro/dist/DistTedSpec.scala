@@ -1,8 +1,9 @@
 package repro.dist
 
-import repro.{Oracle, SparkSpec, TestGraphs}
+import repro.{SparkSpec, TestGraphs}
 import repro.core.{Baselines, Ted, TedConfig}
 import repro.data.{MoleculeGen, SampleDb}
+import repro.cover.MaxCover
 import repro.graph.DfsCode
 
 class DistTedSpec extends SparkSpec {
@@ -28,18 +29,6 @@ class DistTedSpec extends SparkSpec {
       val expected = repro.iso.SubIso.coverSet(p, db.graphs(gi)).toSet
       assert(pc.edges.toSet == expected, s"${pc.code} over graph ${pc.graph_id}")
     }
-  }
-
-  test("union coverage via Spark SQL matches the DuckDB oracle") {
-    import spark.implicits._
-    val cands = DistTed.localCandidates(spark, ds, cfg)
-    val coverDf = DistTed.coverDF(spark, ds, cands)
-    val sparkAgg = coverDf.selectExpr("count(DISTINCT graph_id, edge_id) AS covered")
-    Oracle.assertEquivalent(
-      sparkAgg,
-      "SELECT count(*) AS covered FROM (SELECT DISTINCT graph_id, edge_id FROM cov)",
-      "cov" -> coverDf,
-    )
   }
 
   test("distributed TED coverage tracks sequential TED") {
@@ -93,5 +82,29 @@ class DistTedSpec extends SparkSpec {
     val allg = Baselines.allG(mdb, 4, 3)
     assert(dist.result.coverage >= (0.6 * allg.coverage).toInt,
       s"dist ${dist.result.coverage} vs ALL_g ${allg.coverage}")
+  }
+
+  test("distributed TED is greedy MaxCover over its own candidate pool") {
+    val molecules = GraphFrames.generateDS(spark, MoleculeGen.aidsLike(30), partitions = 4)
+    Seq((ds, cfg), (molecules, TedConfig(k = 4, eMax = 3))).foreach { case (d, c) =>
+      assert(d.rdd.getNumPartitions >= 2)
+      val db = GraphFrames.collectDb(d)
+      val pool = DistTed.localCandidates(spark, d, c).map { key =>
+        key -> TestGraphs.coverViaSubIso(DfsCode.toGraph(DfsCode.parse(key)), db).toArray.sorted
+      }.filter(_._2.nonEmpty).toIndexedSeq
+      val (chosen, coverage) = MaxCover.greedy(pool.map(_._2), c.k, db.totalEdges)
+      val dist = DistTed.run(spark, d, c).result
+      assert(dist.totalEdges == db.totalEdges)
+      assert(dist.patterns.map(_.key) == chosen.map(pool(_)._1))
+      assert(dist.coverage == coverage)
+      dist.patterns.zip(chosen).foreach { case (p, ci) => assert(p.cover.toSeq == pool(ci)._2.toSeq, p.key) }
+    }
+  }
+
+  test("duplicate graph ids are rejected, naming the id") {
+    val g = db.graphs(1)
+    val dup = GraphFrames.toDS(spark, TestGraphs.db(db.graphs(0), g, g)).repartition(2)
+    val e = intercept[IllegalArgumentException](DistTed.run(spark, dup, cfg))
+    assert(e.getMessage.contains(s"duplicate graph id ${g.id}"))
   }
 }

@@ -4,6 +4,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import scala.collection.mutable
 import scala.util.Random
 import repro.TestGraphs
+import repro.core.{Ips, TedConfig}
 import repro.data.SampleDb
 import repro.graph.{CodeEdge, GraphDb, LabeledGraph, RightMost}
 
@@ -12,22 +13,6 @@ class EnumeratorSpec extends AnyFunSuite {
   private def enumerate(db: GraphDb, eMax: Int, minSupport: Int = 1): Seq[PatternNode] = {
     val en = new Enumerator(db, eMax, minSupport)
     en.collectAll()
-  }
-
-  /** Databases with several embeddings per graph and edges shared between
-    * embeddings: random graphs over two labels, one of them twice, and a
-    * 6x8 grid (82 edges) whose local edge ids pass one 64-bit word.
-    */
-  private def randomDbs(seed: Int): Seq[GraphDb] = {
-    val rng = new Random(seed)
-    val grid = LabeledGraph(99, Seq.fill(48)(rng.nextInt(2)),
-      (0 until 48).flatMap { v =>
-        (if (v % 8 < 7) Seq((v, v + 1, 0)) else Nil) ++ (if (v / 8 < 5) Seq((v, v + 8, 0)) else Nil)
-      })
-    (1 to 4).map { round =>
-      val graphs = IndexedSeq.tabulate(5)(i => TestGraphs.randomConnected(rng, 7, 3, 2, 1, id = i))
-      new GraphDb((graphs :+ graphs(0)).patch(round, Seq(grid), 0))
-    }
   }
 
   /** The children of `p` built eagerly from its embeddings with
@@ -167,7 +152,7 @@ class EnumeratorSpec extends AnyFunSuite {
   test("coverGlobal and graphIds equal a naive Set-based reference") {
     var sharedEdges = 0
     var sharedGraphs = 0
-    randomDbs(43).foreach { db =>
+    TestGraphs.randomDbs(43).foreach { db =>
       enumerate(db, 3).foreach { n =>
         val edgeImages = n.embeddings.toSeq.flatMap(e => e.eids.toSeq.map(db.edgeOffset(e.graphIdx) + _))
         val naiveCover = edgeImages.toSet.toSeq.sorted
@@ -183,7 +168,7 @@ class EnumeratorSpec extends AnyFunSuite {
 
   test("every node's embeddings equal an eager reference built from its parent") {
     var multi = 0
-    randomDbs(11).foreach { db =>
+    TestGraphs.randomDbs(11).foreach { db =>
       val keys = walk(new Enumerator(db, 4)) { (p, c) =>
         val expected = eagerChildren(db, p)(c.code.last)
         val got = c.embeddings
@@ -200,7 +185,7 @@ class EnumeratorSpec extends AnyFunSuite {
 
   test("graphIds and coverGlobal read before the embeddings are built equal those after") {
     var sharedEdges = 0
-    randomDbs(12).foreach { db =>
+    TestGraphs.randomDbs(12).foreach { db =>
       walk(new Enumerator(db, 4)) { (_, c) =>
         val ids = c.graphIds.toSeq
         val cover = c.coverGlobal(db).toSeq
@@ -216,6 +201,56 @@ class EnumeratorSpec extends AnyFunSuite {
   test("roots are built once per enumerator") {
     val en = new Enumerator(SampleDb.db, 3)
     assert(en.roots eq en.roots)
+  }
+
+  /** Keys, graph ids, covers and then embeddings of two children lists
+    * agree, in order.
+    */
+  private def assertSameChildren(db: GraphDb, a: Seq[PatternNode], b: Seq[PatternNode]): Unit = {
+    assert(a.map(_.key) == b.map(_.key))
+    a.zip(b).foreach { case (x, y) =>
+      assert(x.graphIds.toSeq == y.graphIds.toSeq, x.key)
+      assert(x.coverGlobal(db).toSeq == y.coverGlobal(db).toSeq, x.key)
+      assert(x.embeddings.length == y.embeddings.length, x.key)
+      x.embeddings.zip(y.embeddings).foreach { case (e, f) =>
+        assert(e.graphIdx == f.graphIdx && e.vmap.toSeq == f.vmap.toSeq && e.eids.toSeq == f.eids.toSeq, x.key)
+      }
+    }
+  }
+
+  test("children hands IPS's expansions to the next call once, then recomputes") {
+    val cfg = TedConfig(k = 3, eMax = 4)
+    var handed = 0
+    (SampleDb.db +: TestGraphs.randomDbs(21)).foreach { db =>
+      val en = new Enumerator(db, cfg.eMax)
+      val climbed = Ips.initialPatterns(en, db, cfg)
+      val fresh = new Enumerator(db, cfg.eMax)
+      val reached = java.util.Collections.newSetFromMap(new java.util.IdentityHashMap[PatternNode, java.lang.Boolean])
+      def go(a: PatternNode, b: PatternNode): Unit = if (a.numEdges < cfg.eMax) {
+        val kids = en.children(a)
+        val ref = fresh.children(b)
+        assertSameChildren(db, kids, ref)
+        kids.foreach(reached.add)
+        val again = en.children(a)
+        if (kids.nonEmpty) assert(!(again eq kids), a.key)
+        assertSameChildren(db, again, kids)
+        kids.zip(ref).foreach { case (x, y) => go(x, y) }
+      }
+      en.roots.zip(fresh.roots).foreach { case (a, b) => go(a, b) }
+      // IPS's climbed nodes are reached as the very objects IPS built.
+      climbed.filter(_.numEdges > 1).foreach { c => assert(reached.contains(c), c.key); handed += 1 }
+    }
+    assert(handed > 0)
+  }
+
+  test("a handed-off children call still checks the deadline") {
+    val db = SampleDb.db
+    val cfg = TedConfig(k = 3, eMax = 3)
+    val deadline = System.nanoTime() + 1000000000L // 1 s
+    val en = new Enumerator(db, cfg.eMax, 1, deadline)
+    Ips.initialPatterns(en, db, cfg)
+    while (System.nanoTime() <= deadline) Thread.sleep(20)
+    intercept[TedTimeout](en.children(en.roots.head))
   }
 
   test("extension grouping keeps labels over the full Int range") {
