@@ -36,7 +36,6 @@ final case class RunResult(
     timedOut: Boolean,
 ) {
   def coverageRate: Double = if (totalEdges == 0) 0.0 else coverage.toDouble / totalEdges
-  def indexMillis: Double = indexNanos / 1e6
 }
 
 /** Configuration of the TED family, validated on construction.

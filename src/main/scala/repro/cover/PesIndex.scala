@@ -27,6 +27,7 @@ final class PesIndex(val k: Int, val db: GraphDb) {
   private val slotUsed  = new Array[Boolean](k)
   private val slotCover = new Array[Array[Int]](k)
   private val slotCode  = new Array[Vector[CodeEdge]](k)
+  private val slotKey   = new Array[String](k)
   private val pCov = new Array[Int](k)
   private val rCnt = new java.util.TreeMap[Int, mutable.LinkedHashSet[Int]]()
   private val codes = mutable.Map.empty[String, Int] // code key -> slot
@@ -100,6 +101,7 @@ final class PesIndex(val k: Int, val db: GraphDb) {
     slotUsed(slot) = true
     slotCover(slot) = cover
     slotCode(slot) = code
+    slotKey(slot) = codeKey
     codes(codeKey) = slot
     var priv = 0
     val bit = 1L << slot
@@ -149,10 +151,11 @@ final class PesIndex(val k: Int, val db: GraphDb) {
       i += 1
     }
     rcntRemove(slot, pCov(slot))
-    codes.remove(repro.graph.DfsCode.key(slotCode(slot)))
+    codes.remove(slotKey(slot))
     slotUsed(slot) = false
     slotCover(slot) = null
     slotCode(slot) = null
+    slotKey(slot) = null
     pCov(slot) = 0
   }
 

@@ -18,24 +18,8 @@ final case class GraphRow(
     elabels: Array[Int],
 )
 
-/** One edge of one graph — the normalized relational view used for the
-  * Spark SQL aggregations (dataset statistics, supports, coverage) that
-  * the DuckDB oracle cross-checks.
-  */
-final case class EdgeRow(
-    graph_id: Long,
-    edge_id: Int,
-    src: Int,
-    dst: Int,
-    src_label: Int,
-    dst_label: Int,
-    edge_label: Int,
-)
-
-final case class VertexRow(graph_id: Long, vertex_id: Int, label: Int)
-
 /** Codecs between the driver-side [[GraphDb]] and the Spark encodings,
-  * plus the Table-2 statistics job.
+  * plus the Table-2 statistics scan.
   */
 object GraphFrames {
 
@@ -62,35 +46,18 @@ object GraphFrames {
   def collectDb(ds: Dataset[GraphRow]): GraphDb =
     new GraphDb(ds.collect().sortBy(_.id).map(toGraph).toIndexedSeq)
 
-  def edgeDF(spark: SparkSession, ds: Dataset[GraphRow]): DataFrame = {
-    import spark.implicits._
-    ds.flatMap { r =>
-      r.src.indices.map { e =>
-        EdgeRow(r.id, e, r.src(e), r.dst(e), r.vlabels(r.src(e)), r.vlabels(r.dst(e)), r.elabels(e))
-      }
-    }.toDF()
-  }
-
-  def vertexDF(spark: SparkSession, ds: Dataset[GraphRow]): DataFrame = {
-    import spark.implicits._
-    ds.flatMap(r => r.vlabels.indices.map(v => VertexRow(r.id, v, r.vlabels(v)))).toDF()
-  }
-
   /** Table-2 statistics (E_max, V_max, E_avg, V_avg, |D|) as a one-row
-    * DataFrame computed relationally — per-graph counts then a global
-    * aggregate — so the DuckDB oracle can diff it.
+    * DataFrame: one aggregate scan over the per-graph array lengths, which
+    * the DuckDB oracle diffs against driver-side counts.
     */
-  def stats(spark: SparkSession, ds: Dataset[GraphRow]): DataFrame = {
-    val edges = edgeDF(spark, ds).groupBy("graph_id").agg(count("*").as("e_cnt"))
-    val verts = vertexDF(spark, ds).groupBy("graph_id").agg(count("*").as("v_cnt"))
-    edges
-      .join(verts, "graph_id")
-      .agg(
-        max("e_cnt").cast("long").as("e_max"),
-        max("v_cnt").cast("long").as("v_max"),
-        round(avg("e_cnt"), 1).as("e_avg"),
-        round(avg("v_cnt"), 1).as("v_avg"),
-        count("*").cast("long").as("d"),
-      )
+  def stats(ds: Dataset[GraphRow]): DataFrame = {
+    val e = size(col("src")); val v = size(col("vlabels"))
+    ds.agg(
+      max(e).cast("long").as("e_max"),
+      max(v).cast("long").as("v_max"),
+      round(avg(e), 1).as("e_avg"),
+      round(avg(v), 1).as("v_avg"),
+      count("*").cast("long").as("d"),
+    )
   }
 }

@@ -250,23 +250,17 @@ final class Enumerator(
     out.toIndexedSeq
   }
 
-  /** Depth-first traversal of the whole (support-pruned) search space up
-    * to `eMax` edges. `visit` returns false to prune the subtree below a
-    * node (used by TED_PRM).
+  /** Every pattern of the (support-pruned) search space up to `eMax`
+    * edges, in depth-first order (the memory-hungry baseline path).
     */
-  def traverse(visit: PatternNode => Boolean): Unit =
-    roots.foreach(r => traverseFrom(r, visit))
-
-  private def traverseFrom(node: PatternNode, visit: PatternNode => Boolean): Unit = {
-    checkDeadline()
-    if (visit(node) && node.numEdges < eMax)
-      children(node).foreach(c => traverseFrom(c, visit))
-  }
-
-  /** Collect every pattern (the memory-hungry baseline path). */
   def collectAll(): IndexedSeq[PatternNode] = {
     val buf = mutable.ArrayBuffer.empty[PatternNode]
-    traverse { n => buf += n; true }
+    def visit(node: PatternNode): Unit = {
+      checkDeadline()
+      buf += node
+      if (node.numEdges < eMax) children(node).foreach(visit)
+    }
+    roots.foreach(visit)
     buf.toIndexedSeq
   }
 }

@@ -58,7 +58,7 @@ object Experiments {
     )
     presets.map { p =>
       val ds = GraphFrames.generateDS(spark, p)
-      val row = GraphFrames.stats(spark, ds).collect()(0)
+      val row = GraphFrames.stats(ds).collect()(0)
       DatasetStats(p.name, row.getLong(0), row.getLong(1),
         row.getDouble(2), row.getDouble(3), row.getLong(4))
     }

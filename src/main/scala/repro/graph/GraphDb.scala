@@ -38,10 +38,6 @@ final class GraphDb(graphSeq: IndexedSeq[LabeledGraph]) extends Serializable {
     a
   }
 
-  def globalEdge(graphIdx: Int, localEdge: Int): Int = edgeOffset(graphIdx) + localEdge
-
-  def totalVertices: Long = graphs.iterator.map(_.numVertices.toLong).sum
-
   /** Estimated on-disk dataset footprint, the denominator of Table 3's
     * "Index/Graphs %" row. The paper's repositories ship as SDF-style
     * text (one ~44-byte atom line per vertex, ~22-byte bond line per

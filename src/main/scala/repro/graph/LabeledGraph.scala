@@ -101,8 +101,6 @@ final class LabeledGraph(
     -1
   }
 
-  def hasEdge(u: Int, v: Int): Boolean = edgeBetween(u, v) >= 0
-
   /** True iff every vertex is reachable from vertex 0 (and the graph is
     * non-empty). Generators and codecs assert this.
     */

@@ -67,6 +67,7 @@ class PesIndexSpec extends AnyFunSuite {
     val s2 = pes.insert(code(2), key(2), Array(2, 3))
     pes.delete(s2)
     assert(pes.size == 1)
+    assert(!pes.contains(key(2)) && pes.contains(key(1)))
     assert(pes.totalCoverage == 3)
     assert(pes.privateCoverage(s1) == 3) // edge 2 exclusively owned again
     assertConsistent(pes)
@@ -165,6 +166,10 @@ class PesIndexSpec extends AnyFunSuite {
         pes.update(pes.minLoss._2, code(nextCode), key(nextCode), cover)
       }
       assertConsistent(pes)
+      // Exactly the live slots' keys are indexed: delete and update drop
+      // the removed pattern's key.
+      val live = pes.patternSlots.map(s => repro.graph.DfsCode.key(pes.codeAt(s))).toSet
+      (1 to nextCode).foreach(n => assert(pes.contains(key(n)) == live.contains(key(n)), s"key of code $n"))
       if (pes.size > 0) {
         val (loss, slot) = pes.minLoss
         assert(loss == pes.privateCoverage(slot))

@@ -65,8 +65,8 @@ class MoleculeGenSpec extends AnyFunSuite {
   test("eMol graphs are smaller than PubChem graphs on average") {
     val eMol = MoleculeGen.db(MoleculeGen.eMolLike(100))
     val pub = MoleculeGen.db(MoleculeGen.pubChemLike(100))
-    val vE = eMol.totalVertices.toDouble / eMol.numGraphs
-    val vP = pub.totalVertices.toDouble / pub.numGraphs
+    val vE = eMol.graphs.map(_.numVertices).sum.toDouble / eMol.numGraphs
+    val vP = pub.graphs.map(_.numVertices).sum.toDouble / pub.numGraphs
     assert(vE < vP)
   }
 

@@ -1,6 +1,5 @@
 package repro.dist
 
-import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.data.{MoleculeGen, SampleDb}
 
@@ -17,18 +16,6 @@ class GraphFramesSpec extends SparkSpec {
     }
   }
 
-  test("edgeDF has one row per edge with endpoint labels") {
-    val edf = GraphFrames.edgeDF(spark, ds)
-    assert(edf.count() == db.totalEdges)
-    val g1cc = edf.filter(col("graph_id") === 1 &&
-      col("src_label") === SampleDb.C && col("dst_label") === SampleDb.C).count()
-    assert(g1cc == 6) // the C6 ring of G1
-  }
-
-  test("vertexDF has one row per vertex") {
-    assert(GraphFrames.vertexDF(spark, ds).count() == db.totalVertices)
-  }
-
   test("generateDS is deterministic and matches driver-side generation") {
     val p = MoleculeGen.aidsLike(30)
     val distDb = GraphFrames.collectDb(GraphFrames.generateDS(spark, p, partitions = 4))
@@ -40,43 +27,38 @@ class GraphFramesSpec extends SparkSpec {
   }
 
   test("stats matches the DuckDB oracle (Table 2 aggregation)") {
-    val statsDf = GraphFrames.stats(spark, ds)
-    val edges = GraphFrames.edgeDF(spark, ds).groupBy("graph_id").agg(count("*").as("e_cnt"))
-    val verts = GraphFrames.vertexDF(spark, ds).groupBy("graph_id").agg(count("*").as("v_cnt"))
-    Oracle.assertEquivalent(
-      statsDf,
-      """SELECT max(e_cnt)::BIGINT AS e_max, max(v_cnt)::BIGINT AS v_max,
-        |       round(avg(e_cnt), 1) AS e_avg, round(avg(v_cnt), 1) AS v_avg,
-        |       count(*)::BIGINT AS d
-        |FROM (SELECT e.graph_id, e.e_cnt::DOUBLE AS e_cnt, v.v_cnt::DOUBLE AS v_cnt
-        |      FROM per_graph_edges e JOIN per_graph_verts v USING (graph_id))""".stripMargin,
-      "per_graph_edges" -> edges,
-      "per_graph_verts" -> verts,
-    )
+    // DuckDB aggregates per-graph counts taken on the driver from the
+    // graphs themselves, not from any Spark plan.
+    import spark.implicits._
+    Seq(db, MoleculeGen.db(MoleculeGen.aidsLike(200))).foreach { d =>
+      val perGraph = d.graphs.map(g => (g.id, g.numEdges, g.numVertices)).toDF("graph_id", "e_cnt", "v_cnt")
+      Oracle.assertEquivalent(
+        GraphFrames.stats(GraphFrames.toDS(spark, d)),
+        """SELECT max(e_cnt)::BIGINT AS e_max, max(v_cnt)::BIGINT AS v_max,
+          |       round(avg(e_cnt), 1) AS e_avg, round(avg(v_cnt), 1) AS v_avg,
+          |       count(*)::BIGINT AS d
+          |FROM (SELECT e_cnt::DOUBLE AS e_cnt, v_cnt::DOUBLE AS v_cnt FROM per_graph)""".stripMargin,
+        "per_graph" -> perGraph,
+      )
+    }
   }
 
   test("stats values are correct on the hand-built sample db") {
-    val row = GraphFrames.stats(spark, ds).collect()(0)
+    val row = GraphFrames.stats(ds).collect()(0)
     assert(row.getLong(0) == 8)  // e_max: G1
     assert(row.getLong(1) == 8)  // v_max: G1
     assert(row.getLong(4) == 4)  // |D|
   }
 
-  test("per-graph edge counts match the DuckDB oracle") {
-    val perGraph = GraphFrames.edgeDF(spark, ds)
-      .groupBy("graph_id").agg(count("*").as("edges"))
-    Oracle.assertEquivalent(
-      perGraph,
-      "SELECT graph_id, count(*) AS edges FROM edges GROUP BY graph_id",
-      "edges" -> GraphFrames.edgeDF(spark, ds),
-    )
-  }
-
   test("molecule generator stats land near Table-2 shape targets") {
     val p = MoleculeGen.aidsLike(200)
-    val row = GraphFrames.stats(spark, GraphFrames.generateDS(spark, p)).collect()(0)
+    val row = GraphFrames.stats(GraphFrames.generateDS(spark, p)).collect()(0)
     val eAvg = row.getDouble(2); val vAvg = row.getDouble(3)
     assert(math.abs(vAvg - 25.4) < 4.0, s"v_avg $vAvg vs AIDS 25.4")
     assert(eAvg >= vAvg - 1, s"e_avg $eAvg should exceed v_avg - 1 (rings)")
+    val local = MoleculeGen.db(p)
+    assert(row.getLong(0) == local.graphs.map(_.numEdges).max)
+    assert(row.getLong(1) == local.graphs.map(_.numVertices).max)
+    assert(row.getLong(4) == local.numGraphs)
   }
 }

@@ -5,7 +5,7 @@ import scala.collection.mutable
 import scala.util.Random
 import repro.TestGraphs
 import repro.core.{Ips, TedConfig}
-import repro.data.SampleDb
+import repro.data.{MoleculeGen, SampleDb}
 import repro.graph.{CodeEdge, GraphDb, LabeledGraph, RightMost}
 
 class EnumeratorSpec extends AnyFunSuite {
@@ -103,14 +103,22 @@ class EnumeratorSpec extends AnyFunSuite {
   }
 
   test("minSupport prunes infrequent patterns and their descendants") {
-    val db = SampleDb.db
-    val all = enumerate(db, 3)
-    val frequent = enumerate(db, 3, minSupport = 2)
-    assert(frequent.map(_.key).toSet.subsetOf(all.map(_.key).toSet))
-    assert(frequent.forall(_.support >= 2))
-    // Anti-monotonicity: every frequent pattern of the full run is kept.
-    val expectedFrequent = all.filter(_.support >= 2).map(_.key).toSet
-    assert(frequent.map(_.key).toSet == expectedFrequent)
+    // (db, eMax, minSupport): the sample DB, and generated molecules at
+    // a quarter of the database.
+    val cases = Seq(
+      (SampleDb.db, 3, 2),
+      (MoleculeGen.db(MoleculeGen.aidsLike(24)), 2, 6),
+    )
+    cases.foreach { case (db, eMax, minSup) =>
+      val all = enumerate(db, eMax)
+      val frequent = enumerate(db, eMax, minSupport = minSup)
+      assert(frequent.map(_.key).toSet.subsetOf(all.map(_.key).toSet))
+      assert(frequent.forall(_.support >= minSup))
+      // Anti-monotonicity: every frequent pattern of the full run is kept.
+      val expectedFrequent = all.filter(_.support >= minSup).map(_.key).toSet
+      assert(expectedFrequent.nonEmpty && expectedFrequent.size < all.size)
+      assert(frequent.map(_.key).toSet == expectedFrequent)
+    }
   }
 
   test("eMax bounds pattern size") {
@@ -270,19 +278,6 @@ class EnumeratorSpec extends AnyFunSuite {
     intercept[IllegalArgumentException] {
       new PatternNode(root.code, root.rmPath, root.nVerts, root.embeddings.reverse)
     }
-  }
-
-  test("traverse visit=false prunes the subtree") {
-    val db = SampleDb.db
-    var visitedAll = 0
-    new Enumerator(db, 3).traverse { _ => visitedAll += 1; true }
-    var visitedPruned = 0
-    new Enumerator(db, 3).traverse { n => visitedPruned += 1; n.numEdges < 2 }
-    assert(visitedPruned < visitedAll)
-    // With pruning at 2 edges, nothing of size 3 is visited.
-    var maxSize = 0
-    new Enumerator(db, 3).traverse { n => maxSize = math.max(maxSize, n.numEdges); n.numEdges < 2 }
-    assert(maxSize == 2)
   }
 
   test("deadline aborts with TedTimeout") {
