@@ -3,7 +3,6 @@ package repro.bench
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.Vqf
 import repro.exp.Experiments
-import repro.exp.Experiments.{bench => B}
 
 /** Table 6 — number of patterns usable per query in VQF for FS, the
   * CATAPULT proxy and TED (k=12 sets), with the "at least one infrequent
@@ -18,7 +17,7 @@ class BenchTable6PatternsUsed extends AnyFunSuite {
   test("Table 6: number of patterns used in VQF") {
     BenchShared.banner("Table 6: Patterns used in VQF |P_U| (paper PubChem: FS {2,3,3,4,2}, " +
       "CATAPULT {2,3,4,5,2}, TED {5,5,6,7,5}; AIDS: FS {1,1,2,1,2}, CATAPULT {2,1,1,2,3}, TED {3,2,4,3,6})")
-    val all = BenchShared.vqfRows.values.flatten.toSeq
+    val all = BenchShared.pubChem.rows ++ BenchShared.aids.rows
     Experiments.renderTable6(all).foreach(println)
     // Shape: TED's diversified patterns are usable at least as often as
     // FS's on average (the paper's Table-6 headline). Steps on these
@@ -36,8 +35,8 @@ class BenchTable6PatternsUsed extends AnyFunSuite {
 
   test("Fig 17 shape: RR vs FS grows with the infrequent-query fraction rho") {
     BenchShared.banner("Exp 7 / Fig 17: RR between TED and FS over QS_rho (paper: RR < 0 at rho=0, > 0 from rho~0.2)")
-    val rows = Experiments.fig17(BenchShared.aidsVqfDb, k = 12, eMax = B.eMax, supMin = B.supMin,
-      rhos = Seq(0.0, 0.2, 0.4, 0.6), timeoutMillis = B.timeoutMillis)
+    val rows = Experiments.fig17(BenchShared.aids.db, BenchShared.aids.sets,
+      rhos = Seq(0.0, 0.2, 0.4, 0.6))
     rows.foreach(r => println(f"rho=${r.rho}%.1f Steps_FS=${r.stepsFs}%5d Steps_TED=${r.stepsTed}%5d RR=${r.rr}%+.3f"))
     // Shape: RR improves as infrequent queries enter the mix.
     assert(rows.last.rr > rows.head.rr - 0.02,

@@ -3,7 +3,6 @@ package repro.bench
 import org.scalatest.funsuite.AnyFunSuite
 import repro.data.MoleculeGen
 import repro.exp.Experiments
-import repro.exp.Experiments.{bench => B}
 
 /** Table 7 — patterns with "biological importance": patterns that exist
   * in an independent repository (paper: the NIH PubChem compound
@@ -18,9 +17,7 @@ class BenchTable7BioImportance extends AnyFunSuite {
     BenchShared.banner("Table 7: Patterns with Biological Importance (paper: FS 5, CATAPULT 8, TED 8)")
     val repoDb = MoleculeGen.db(MoleculeGen.fragmentRepo(8000, seed = 99))
     val repository = repro.core.Vqf.exactRepository(repoDb)
-    val rows = Experiments.table7(BenchShared.pubVqfDb, repository,
-      k = 12, eMax = B.eMax, supMin = B.supMin, minEdges = 3,
-      timeoutMillis = B.timeoutMillis)
+    val rows = Experiments.table7(BenchShared.pubChem.sets, repository)
     Experiments.renderTable7(rows).foreach(println)
     val byMethod = rows.map(r => r.method -> r).toMap
     rows.foreach(r => assert(r.important >= 0 && r.important <= r.total))

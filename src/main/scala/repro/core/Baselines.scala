@@ -23,9 +23,7 @@ object Baselines {
       db: GraphDb, minSupport: Int, eMax: Int, timeoutMillis: Long, method: String)(
       select: IndexedSeq[Array[Int]] => (Seq[Int], Int)): RunResult = {
     val t0 = System.nanoTime()
-    val deadline =
-      if (timeoutMillis == Long.MaxValue) Long.MaxValue else t0 + timeoutMillis * 1000000L
-    val en = new Enumerator(db, eMax, minSupport, deadline)
+    val en = new Enumerator(db, eMax, minSupport, timeoutMillis)
     var collected: IndexedSeq[PatternNode] = IndexedSeq.empty
     var timedOut = false
     try collected = en.collectAll()
@@ -66,16 +64,11 @@ object Baselines {
   def optimal(db: GraphDb, k: Int, eMax: Int): RunResult =
     collectThenSelect(db, minSupport = 1, eMax, Long.MaxValue, "OPT")(MaxCover.optimal(_, k))
 
-  /** Top-k frequent subgraphs (the FS comparator of Exps 6–7): highest
-    * support first, larger patterns breaking ties, 1-edge patterns last.
+  /** Top-k frequent subgraphs of a frequent `pool` (the FS comparator of
+    * Exps 6–7): highest support first, larger patterns breaking ties.
     */
-  def topKFrequent(db: GraphDb, k: Int, eMax: Int, supMin: Double,
-                   minEdges: Int = 2): Seq[Pattern] = {
-    val en = new Enumerator(db, eMax, supportCount(db, supMin), Long.MaxValue)
-    en.collectAll()
-      .filter(_.numEdges >= minEdges)
-      .sortBy(n => (-n.support, -n.numEdges, n.key))
+  def topKFrequent(db: GraphDb, pool: Seq[PatternNode], k: Int): Seq[Pattern] =
+    pool.sortBy(n => (-n.support, -n.numEdges, n.key))
       .take(k)
       .map(Pattern.of(_, db))
-  }
 }

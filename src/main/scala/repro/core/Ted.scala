@@ -77,10 +77,7 @@ object Ted {
 
   def run(db: GraphDb, cfg: TedConfig, method: String = "TED"): RunResult = {
     val t0 = System.nanoTime()
-    val deadline =
-      if (cfg.timeoutMillis == Long.MaxValue) Long.MaxValue
-      else t0 + cfg.timeoutMillis * 1000000L
-    val en = new Enumerator(db, cfg.eMax, cfg.minSupport, deadline)
+    val en = new Enumerator(db, cfg.eMax, cfg.minSupport, cfg.timeoutMillis)
     val pes = new PesIndex(cfg.k, db)
     var enumerated = 0L
     var timedOut = false

@@ -3,7 +3,7 @@ package repro.core
 import java.util.BitSet
 import scala.collection.mutable
 import scala.util.Random
-import repro.enumeration.Enumerator
+import repro.enumeration.PatternNode
 import repro.graph.{CanonicalCode, DfsCode, GraphDb, LabeledGraph}
 import repro.iso.SubIso
 
@@ -126,15 +126,13 @@ object Vqf {
   def reductionRatio(stepsX: Int, stepsTed: Int): Double =
     if (stepsX == 0) 0.0 else (stepsX - stepsTed).toDouble / stepsX
 
-  /** CATAPULT proxy (DESIGN.md §4): from the frequent pool, greedily pick
-    * k mid-sized patterns maximizing *graph-level* marginal coverage with
-    * a redundancy penalty for patterns contained in an already-chosen one
-    * — frequent-ish and graph-diverse, but not edge-coverage-driven.
+  /** CATAPULT proxy (DESIGN.md §4): from a frequent `pool` mined up to
+    * `eMax` edges, greedily pick k mid-sized patterns maximizing
+    * *graph-level* marginal coverage with a redundancy penalty for patterns
+    * contained in an already-chosen one — frequent-ish and graph-diverse,
+    * but not edge-coverage-driven.
     */
-  def catapultProxy(db: GraphDb, k: Int, eMax: Int, supMin: Double,
-                    minEdges: Int = 2): Seq[Pattern] = {
-    val en = new Enumerator(db, eMax, Baselines.supportCount(db, supMin), Long.MaxValue)
-    val pool = en.collectAll().filter(_.numEdges >= minEdges)
+  def catapultProxy(db: GraphDb, pool: IndexedSeq[PatternNode], k: Int, eMax: Int): Seq[Pattern] = {
     val chosen = mutable.ArrayBuffer.empty[Pattern]
     val coveredGraphs = new BitSet(db.numGraphs)
     val poolPatterns = pool.map(Pattern.of(_, db))

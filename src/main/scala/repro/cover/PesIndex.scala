@@ -24,7 +24,6 @@ final class PesIndex(val k: Int, val db: GraphDb) {
   require(k >= 1 && k <= 64, s"PES-Index supports 1..64 pattern slots, got $k")
 
   private val rCov = new Array[Long](db.totalEdges)
-  private val slotUsed  = new Array[Boolean](k)
   private val slotCover = new Array[Array[Int]](k)
   private val slotCode  = new Array[Vector[CodeEdge]](k)
   private val slotKey   = new Array[String](k)
@@ -41,8 +40,6 @@ final class PesIndex(val k: Int, val db: GraphDb) {
   /** Cumulative time spent maintaining/querying the index (Table 4). */
   var maintenanceNanos: Long = 0L
 
-  private var nonzeroRCov: Int = 0
-
   @inline private def timed[A](body: => A): A = {
     val t0 = System.nanoTime()
     val r = body
@@ -53,9 +50,8 @@ final class PesIndex(val k: Int, val db: GraphDb) {
   def size: Int = codes.size
   def isFull: Boolean = size == k
   def contains(codeKey: String): Boolean = codes.contains(codeKey)
-  def slotOf(codeKey: String): Option[Int] = codes.get(codeKey)
 
-  def patternSlots: Seq[Int] = (0 until k).filter(slotUsed)
+  def patternSlots: Seq[Int] = (0 until k).filter(slotCode(_) != null)
   def codeAt(slot: Int): Vector[CodeEdge] = slotCode(slot)
   def coverAt(slot: Int): Array[Int] = slotCover(slot)
   def privateCoverage(slot: Int): Int = pCov(slot)
@@ -97,8 +93,7 @@ final class PesIndex(val k: Int, val db: GraphDb) {
   def insert(code: Vector[CodeEdge], codeKey: String, cover: Array[Int]): Int = timed {
     require(size < k, "INSERT on a full pattern set — use update")
     require(!codes.contains(codeKey), s"pattern already present: $codeKey")
-    val slot = (0 until k).find(s => !slotUsed(s)).get
-    slotUsed(slot) = true
+    val slot = (0 until k).find(slotCode(_) == null).get
     slotCover(slot) = cover
     slotCode(slot) = code
     slotKey(slot) = codeKey
@@ -111,7 +106,6 @@ final class PesIndex(val k: Int, val db: GraphDb) {
       val old = rCov(e)
       if (old == 0L) {
         totalCoverage += 1
-        nonzeroRCov += 1
         uncovered(db.graphOfEdge(e)) -= 1
         priv += 1
       } else if (java.lang.Long.bitCount(old) == 1) {
@@ -131,7 +125,7 @@ final class PesIndex(val k: Int, val db: GraphDb) {
     * newly-exclusive owners and the per-graph uncovered counts.
     */
   def delete(slot: Int): Unit = timed {
-    require(slotUsed(slot), s"DELETE on empty slot $slot")
+    require(slotCode(slot) != null, s"DELETE on empty slot $slot")
     val cover = slotCover(slot)
     val bit = 1L << slot
     var i = 0
@@ -141,7 +135,6 @@ final class PesIndex(val k: Int, val db: GraphDb) {
       rCov(e) = now
       if (now == 0L) {
         totalCoverage -= 1
-        nonzeroRCov -= 1
         uncovered(db.graphOfEdge(e)) += 1
       } else if (java.lang.Long.bitCount(now) == 1) {
         val p = java.lang.Long.numberOfTrailingZeros(now)
@@ -152,7 +145,6 @@ final class PesIndex(val k: Int, val db: GraphDb) {
     }
     rcntRemove(slot, pCov(slot))
     codes.remove(slotKey(slot))
-    slotUsed(slot) = false
     slotCover(slot) = null
     slotCode(slot) = null
     slotKey(slot) = null
@@ -169,23 +161,20 @@ final class PesIndex(val k: Int, val db: GraphDb) {
     * (edgeId, mask) entry per covered edge, the per-pattern cover lists,
     * and the scalar components.
     */
-  def sizeBytes: Long = {
-    var coverBytes = 0L
-    var s = 0
-    while (s < k) { if (slotUsed(s)) coverBytes += 4L * slotCover(s).length; s += 1 }
-    12L * nonzeroRCov + coverBytes + 8L * k + 12L * rCnt.size + 16L
-  }
+  def sizeBytes: Long =
+    12L * totalCoverage + 4L * patternSlots.map(slotCover(_).length.toLong).sum +
+      8L * k + 12L * rCnt.size + 16L
 
   /** Naive recomputation of every component — the test oracle for the
     * incremental maintenance (never used on hot paths).
     */
   def naiveRecompute(): (Int, Map[Int, Int], Array[Int]) = {
     val coveredBy = mutable.Map.empty[Int, Long]
-    (0 until k).filter(slotUsed).foreach { s =>
+    patternSlots.foreach { s =>
       slotCover(s).foreach(e => coveredBy(e) = coveredBy.getOrElse(e, 0L) | (1L << s))
     }
     val total = coveredBy.size
-    val priv = (0 until k).filter(slotUsed).map { s =>
+    val priv = patternSlots.map { s =>
       s -> coveredBy.count { case (_, m) => m == (1L << s) }
     }.toMap
     val unc = Array.tabulate(db.numGraphs) { gi =>

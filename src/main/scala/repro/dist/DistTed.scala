@@ -68,23 +68,16 @@ object DistTed {
     }
   }
 
-  final case class DistResult(
-      result: RunResult,
-      candidatePoolSize: Int,
-      partitions: Int,
-  )
+  final case class DistResult(result: RunResult)
 
-  /** The full three-phase run. `localK` widens the per-partition pattern
-    * budget (defaults to cfg.k) to enrich the candidate pool. The result
-    * is `timedOut` if any partition's local TED hit `cfg.timeoutMillis`;
-    * its patterns then come from the candidates found in time. Graph ids
-    * must be distinct (`IllegalArgumentException` otherwise).
+  /** The full three-phase run. The result is `timedOut` if any
+    * partition's local TED hit `cfg.timeoutMillis`; its patterns then come
+    * from the candidates found in time. Graph ids must be distinct
+    * (`IllegalArgumentException` otherwise).
     */
-  def run(spark: SparkSession, ds: Dataset[GraphRow], cfg: TedConfig, localK: Int = 0): DistResult = {
+  def run(spark: SparkSession, ds: Dataset[GraphRow], cfg: TedConfig): DistResult = {
     val t0 = System.nanoTime()
-    val parts = ds.rdd.getNumPartitions
-    val kLocal = if (localK > 0) localK else cfg.k
-    val scan = localScan(spark, ds, cfg.copy(k = kLocal))
+    val scan = localScan(spark, ds, cfg)
     val candidates = scan.candidates
 
     // Global edge-id space: order graphs by id, offset by cumulative edges.
@@ -113,6 +106,6 @@ object DistTed {
     }
     val res = RunResult("DistTED", patterns, coverage, totalEdges,
       (System.nanoTime() - t0) / 1000000L, candidates.size.toLong, 0L, 0L, scan.timedOut)
-    DistResult(res, candidates.size, parts)
+    DistResult(res)
   }
 }

@@ -152,14 +152,22 @@ final class TedTimeout(val elapsedMillis: Long) extends RuntimeException(s"deadl
   * @param minSupport minimum number of distinct graphs containing a
   *                   pattern (1 = enumerate everything); anti-monotone,
   *                   so pruning below it is exact.
+  * @param timeoutMillis time allowed from construction before the search
+  *                      throws [[TedTimeout]] (`Long.MaxValue` = none).
   */
 final class Enumerator(
     val db: GraphDb,
     val eMax: Int,
     val minSupport: Int = 1,
-    val deadlineNanos: Long = Long.MaxValue,
+    timeoutMillis: Long = Long.MaxValue,
 ) {
   private val startNanos = System.nanoTime()
+  /** `startNanos + timeoutMillis` in ns, saturating at `Long.MaxValue`. */
+  private val deadlineNanos: Long = {
+    val ms = math.max(0L, timeoutMillis)
+    val d = if (ms > Long.MaxValue / 1000000L) Long.MaxValue else startNanos + ms * 1000000L
+    if (d < startNanos) Long.MaxValue else d
+  }
   private val table = new ExtensionTable
   private val handedOff = new java.util.IdentityHashMap[PatternNode, IndexedSeq[PatternNode]]
 

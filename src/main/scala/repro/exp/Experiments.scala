@@ -4,11 +4,12 @@ import org.apache.spark.sql.SparkSession
 import repro.core._
 import repro.data.MoleculeGen
 import repro.dist.{DistTed, GraphFrames}
-import repro.graph.GraphDb
+import repro.enumeration.Enumerator
+import repro.graph.{GraphDb, LabeledGraph}
 
-/** Shared harness behind the per-table jobs and bench suites. All scales
-  * are parameters so unit tests run the same code paths on tiny inputs
-  * while benches run the EXPERIMENTS.md configuration.
+/** Shared harness behind the bench suites, one per evaluation table. All
+  * scales are parameters so unit tests run the same code paths on tiny
+  * inputs while benches run the EXPERIMENTS.md configuration.
   *
   * Scale note (DESIGN.md §4): the paper's dataset sizes (10K–1M graphs, a
   * 32 GB desktop, 10000 s INF limit) are scaled to container-size DBs and
@@ -111,39 +112,52 @@ object Experiments {
         f"${r.indexTimeS}%13.3f ${r.indexPctOfTotal}%15.2f ${r.totalS}%9.2f ${r.coverageRate}%8.4f")
 
   // ------------------------------------------------------------------
-  // Tables 5 & 6 — VQF queries and patterns-used-per-query.
+  // Tables 5 & 6 — VQF queries and patterns-used-per-query, over the
+  // pattern sets that Table 7 and Figure 17 also read.
   // ------------------------------------------------------------------
+
+  /** The three pattern sets compared by Tables 5–7 and Figure 17. */
+  final case class VqfSets(ted: Seq[Pattern], fs: Seq[Pattern], catapult: Seq[Pattern])
+
+  /** Mines the VQF pattern sets of `db` once: one TED run, and one frequent
+    * enumeration whose pool both FS and the CATAPULT proxy select from.
+    * `minEdges` is the MinE pattern budget of the TED Explorer (Section
+    * 6.2): VQF pattern sets carry a minimum pattern size so that a drag
+    * places a multi-edge fragment, exactly as canned-pattern systems do.
+    * Applied to all three sets for fairness.
+    */
+  def vqfSets(db: GraphDb, k: Int, eMax: Int, supMin: Double, minEdges: Int = 3,
+              timeoutMillis: Long = Long.MaxValue): VqfSets = {
+    val ted = Ted.full(db, TedConfig(k = k, eMax = eMax, minEdges = minEdges,
+      timeoutMillis = timeoutMillis)).patterns
+    val pool = new Enumerator(db, eMax, Baselines.supportCount(db, supMin)).collectAll()
+      .filter(_.numEdges >= minEdges)
+    VqfSets(ted, Baselines.topKFrequent(db, pool, k), Vqf.catapultProxy(db, pool, k, eMax))
+  }
+
+  /** The paper's Table-6 "Yes" marker flags usage of a sup_min < 0.2
+    * pattern, independent of the mining support threshold.
+    */
+  private val markerSupMin = 0.2
 
   final case class VqfRow(query: String, queryEdges: Int,
                           fsUsed: Int, catapultUsed: Int, tedUsed: Int,
                           fsSteps: Int, catapultSteps: Int, tedSteps: Int,
                           tedUsesInfrequent: Boolean)
 
-  /** `minEdges` is the MinE pattern budget of the TED Explorer (Section
-    * 6.2): VQF pattern sets carry a minimum pattern size so that a drag
-    * places a multi-edge fragment, exactly as canned-pattern systems do.
-    * Applied to all three compared pattern sets for fairness.
+  /** One row per query, in order: each set formulates query i as
+    * `<dbName>_Q<i+1>`.
     */
-  def tables56(dbName: String, db: GraphDb, k: Int, eMax: Int, supMin: Double,
-               nQueries: Int = 5, minE: Int = 30, maxE: Int = 62, minEdges: Int = 3,
-               timeoutMillis: Long = Long.MaxValue, seed: Long = 17): Seq[VqfRow] = {
-    val ted = Ted.full(db, TedConfig(k = k, eMax = eMax, minEdges = minEdges,
-      timeoutMillis = timeoutMillis)).patterns
-    val fs  = Baselines.topKFrequent(db, k, eMax, supMin, minEdges)
-    val cat = Vqf.catapultProxy(db, k, eMax, supMin, minEdges)
-    val queries = Vqf.sampleQueries(db, nQueries, minE, maxE, seed)
-    // The paper's Table-6 "Yes" marker flags usage of a sup_min < 0.2
-    // pattern, independent of the mining support threshold.
-    val markerSupMin = 0.2
+  def tables56(dbName: String, db: GraphDb, sets: VqfSets,
+               queries: Seq[LabeledGraph]): Seq[VqfRow] =
     queries.zipWithIndex.map { case (q, i) =>
-      val fFs  = Vqf.formulate(q, fs, db, markerSupMin)
-      val fCat = Vqf.formulate(q, cat, db, markerSupMin)
-      val fTed = Vqf.formulate(q, ted, db, markerSupMin)
+      val fFs  = Vqf.formulate(q, sets.fs, db, markerSupMin)
+      val fCat = Vqf.formulate(q, sets.catapult, db, markerSupMin)
+      val fTed = Vqf.formulate(q, sets.ted, db, markerSupMin)
       VqfRow(s"${dbName}_Q${i + 1}", q.numEdges,
         fFs.patternsUsed, fCat.patternsUsed, fTed.patternsUsed,
         fFs.steps, fCat.steps, fTed.steps, fTed.usedInfrequent)
     }
-  }
 
   /** Table 6: patterns used per query, with the steps behind Figure 16. */
   def renderTable6(rows: Seq[VqfRow]): Seq[String] =
@@ -160,12 +174,8 @@ object Experiments {
 
   final case class RrRow(rho: Double, stepsFs: Int, stepsTed: Int, rr: Double)
 
-  def fig17(db: GraphDb, k: Int, eMax: Int, supMin: Double, rhos: Seq[Double],
-            nQueries: Int = 40, minQE: Int = 8, maxQE: Int = 16, minEdges: Int = 3,
-            timeoutMillis: Long = Long.MaxValue, seed: Long = 23): Seq[RrRow] = {
-    val ted = Ted.full(db, TedConfig(k = k, eMax = eMax, minEdges = minEdges,
-      timeoutMillis = timeoutMillis)).patterns
-    val fs = Baselines.topKFrequent(db, k, eMax, supMin, minEdges)
+  def fig17(db: GraphDb, sets: VqfSets, rhos: Seq[Double], nQueries: Int = 40,
+            minQE: Int = 8, maxQE: Int = 16, seed: Long = 23): Seq[RrRow] =
     rhos.map { rho =>
       val rng = new scala.util.Random(seed)
       val nRare = math.round(rho * nQueries).toInt
@@ -174,11 +184,10 @@ object Experiments {
         if (i <= nRare) Vqf.sampleRareQuery(db, target, rng)
         else Vqf.sampleQuery(db, target, rng)
       }
-      val stepsFs = queries.map(q => Vqf.formulate(q, fs, db, supMin).steps).sum
-      val stepsTed = queries.map(q => Vqf.formulate(q, ted, db, supMin).steps).sum
+      val stepsFs = queries.map(q => Vqf.formulate(q, sets.fs, db, markerSupMin).steps).sum
+      val stepsTed = queries.map(q => Vqf.formulate(q, sets.ted, db, markerSupMin).steps).sum
       RrRow(rho, stepsFs, stepsTed, Vqf.reductionRatio(stepsFs, stepsTed))
     }
-  }
 
   // ------------------------------------------------------------------
   // Table 7 — patterns with "biological importance".
@@ -187,18 +196,11 @@ object Experiments {
   final case class BioRow(method: String, important: Int, total: Int)
 
   /** Table 7 with a caller-supplied repository (see Vqf.exactRepository). */
-  def table7(db: GraphDb, repo: Set[String], k: Int, eMax: Int, supMin: Double,
-             minEdges: Int = 3, timeoutMillis: Long = Long.MaxValue): Seq[BioRow] = {
-    val ted = Ted.full(db, TedConfig(k = k, eMax = eMax, minEdges = minEdges,
-      timeoutMillis = timeoutMillis)).patterns
-    val fs  = Baselines.topKFrequent(db, k, eMax, supMin, minEdges)
-    val cat = Vqf.catapultProxy(db, k, eMax, supMin, minEdges)
-    Seq(
-      BioRow("FS", Vqf.bioImportance(fs, repo), fs.size),
-      BioRow("CATAPULT", Vqf.bioImportance(cat, repo), cat.size),
-      BioRow("TED", Vqf.bioImportance(ted, repo), ted.size),
-    )
-  }
+  def table7(sets: VqfSets, repo: Set[String]): Seq[BioRow] = Seq(
+    BioRow("FS", Vqf.bioImportance(sets.fs, repo), sets.fs.size),
+    BioRow("CATAPULT", Vqf.bioImportance(sets.catapult, repo), sets.catapult.size),
+    BioRow("TED", Vqf.bioImportance(sets.ted, repo), sets.ted.size),
+  )
 
   def renderTable7(rows: Seq[BioRow]): Seq[String] =
     f"${"Method"}%-10s ${"Important"}%10s ${"Total"}%6s" +:

@@ -2,6 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.data.{MoleculeGen, SampleDb}
+import repro.enumeration.Enumerator
 
 class BaselinesSpec extends AnyFunSuite {
 
@@ -59,9 +60,19 @@ class BaselinesSpec extends AnyFunSuite {
   }
 
   test("topKFrequent is ordered by support and excludes single edges") {
-    val fs = Baselines.topKFrequent(SampleDb.db, 5, eMax, 0.3)
+    val db = SampleDb.db
+    val pool = new Enumerator(db, eMax, Baselines.supportCount(db, 0.3)).collectAll()
+      .filter(_.numEdges >= 2)
+    val fs = Baselines.topKFrequent(db, pool, 5)
+    assert(fs.size == math.min(5, pool.size) && fs.nonEmpty)
     assert(fs.forall(_.numEdges >= 2))
     assert(fs.map(_.support) == fs.map(_.support).sorted.reverse)
+    // No pattern left out of the pool ranks above the last one taken.
+    val taken = fs.map(_.key).toSet
+    pool.filterNot(n => taken(n.key)).foreach { n =>
+      assert(n.support < fs.last.support ||
+        (n.support == fs.last.support && n.numEdges <= fs.last.numEdges), n.key)
+    }
   }
 
   test("edge-diversified patterns can include infrequent subgraphs (Example 2)") {
@@ -77,7 +88,7 @@ class BaselinesSpec extends AnyFunSuite {
   test("greedy baseline beats random-k selection on db10 (Example 1 motivation)") {
     val allg = Baselines.allG(SampleDb.db10, k, eMax)
     // Random selection proxy: the k lexicographically-first patterns.
-    val en = new repro.enumeration.Enumerator(SampleDb.db10, eMax)
+    val en = new Enumerator(SampleDb.db10, eMax)
     val firstK = en.collectAll().take(k)
     val randomCoverage = firstK.flatMap(_.coverGlobal(SampleDb.db10)).toSet.size
     assert(allg.coverage >= randomCoverage)

@@ -3,6 +3,7 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
 import repro.data.{MoleculeGen, SampleDb}
+import repro.enumeration.Enumerator
 import repro.graph.{CanonicalCode, LabeledGraph}
 import repro.iso.SubIso
 
@@ -82,10 +83,12 @@ class VqfSpec extends AnyFunSuite {
   }
 
   test("catapult proxy returns k frequent-pool patterns") {
-    val cat = Vqf.catapultProxy(SampleDb.db, 3, 3, 0.5)
-    assert(cat.size <= 3)
     val threshold = Baselines.supportCount(SampleDb.db, 0.5)
+    val pool = new Enumerator(SampleDb.db, 3, threshold).collectAll().filter(_.numEdges >= 2)
+    val cat = Vqf.catapultProxy(SampleDb.db, pool, 3, 3)
+    assert(cat.size == math.min(3, pool.size) && cat.nonEmpty)
     cat.foreach(p => assert(p.support >= threshold))
+    assert(cat.map(_.key).toSet.subsetOf(pool.map(_.key).toSet))
   }
 
   test("repository membership marks real substructures") {

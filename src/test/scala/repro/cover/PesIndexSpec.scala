@@ -23,6 +23,11 @@ class PesIndexSpec extends AnyFunSuite {
       assert(pes.privateCoverage(slot) == v, s"pCov($slot) drifted")
     }
     assert(pes.uncovered.toSeq == unc.toSeq, "uncovered counts drifted")
+    // Table 3's footprint: one (edge, mask) entry per covered edge, the
+    // cover lists, k slots, one rCnt entry per distinct private coverage.
+    val coverInts = pes.patternSlots.map(pes.coverAt(_).length.toLong).sum
+    assert(pes.sizeBytes == 12L * total + 4L * coverInts + 8L * pes.k + 12L * priv.values.toSet.size + 16L,
+      "sizeBytes drifted")
   }
 
   test("insert into empty index sets total and private coverage") {
@@ -105,12 +110,14 @@ class PesIndexSpec extends AnyFunSuite {
     assert(!pes.isCovered(4))
   }
 
-  test("contains/slotOf by code key") {
+  test("contains/codeAt by code key") {
     val pes = newIndex()
     val s = pes.insert(code(7), key(7), Array(0))
     assert(pes.contains(key(7)))
-    assert(pes.slotOf(key(7)).contains(s))
+    assert(pes.codeAt(s) == code(7))
     assert(!pes.contains(key(8)))
+    pes.delete(s)
+    assert(!pes.contains(key(7)) && pes.codeAt(s) == null)
   }
 
   test("insert past capacity is rejected") {

@@ -254,8 +254,8 @@ class EnumeratorSpec extends AnyFunSuite {
   test("a handed-off children call still checks the deadline") {
     val db = SampleDb.db
     val cfg = TedConfig(k = 3, eMax = 3)
-    val deadline = System.nanoTime() + 1000000000L // 1 s
-    val en = new Enumerator(db, cfg.eMax, 1, deadline)
+    val en = new Enumerator(db, cfg.eMax, 1, timeoutMillis = 1000)
+    val deadline = System.nanoTime() + 1000000000L // no earlier than en's
     Ips.initialPatterns(en, db, cfg)
     while (System.nanoTime() <= deadline) Thread.sleep(20)
     intercept[TedTimeout](en.children(en.roots.head))
@@ -284,9 +284,15 @@ class EnumeratorSpec extends AnyFunSuite {
     val rng = new Random(5)
     val graphs = (1 to 12).map(i => TestGraphs.randomConnected(rng, 14, 6, 2, 1, id = i))
     val db = new GraphDb(graphs)
-    val en = new Enumerator(db, 10, 1, deadlineNanos = System.nanoTime() + 10000000L) // 10 ms
+    val en = new Enumerator(db, 10, 1, timeoutMillis = 10)
     intercept[TedTimeout] {
       en.collectAll()
+    }
+  }
+
+  test("a timeout beyond the nanosecond range saturates to no deadline") {
+    Seq(Long.MaxValue, Long.MaxValue / 1000, Long.MaxValue / 1000000L).foreach { ms =>
+      assert(new Enumerator(SampleDb.db, 3, 1, ms).collectAll().nonEmpty, s"timeout $ms ms")
     }
   }
 

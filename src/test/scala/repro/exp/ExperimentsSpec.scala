@@ -1,10 +1,11 @@
 package repro.exp
 
 import repro.SparkSpec
+import repro.core.{Baselines, Ted, TedConfig, Vqf}
 import repro.data.MoleculeGen
 
 /** Exercises the table harness end-to-end at tiny scale — the same code
-  * the per-table jobs and bench suites run at bench scale.
+  * the bench suites run at bench scale.
   */
 class ExperimentsSpec extends SparkSpec {
 
@@ -35,10 +36,23 @@ class ExperimentsSpec extends SparkSpec {
     assert(lines.size == 7 && lines.head.contains("Index KB") && lines.head.contains("Index Time s"))
   }
 
+  private lazy val vqfDb = MoleculeGen.db(MoleculeGen.aidsLike(tiny.aidsSmall))
+  private lazy val vqfSets = Experiments.vqfSets(vqfDb, k = 6, eMax = tiny.eMax, supMin = tiny.supMin)
+
+  test("vqfSets mines k patterns per method, each with at least minEdges edges") {
+    val frequentAt = Baselines.supportCount(vqfDb, tiny.supMin)
+    val ted = Ted.full(vqfDb, TedConfig(k = 6, eMax = tiny.eMax, minEdges = 3))
+    assert(vqfSets.ted.map(_.key) == ted.patterns.map(_.key))
+    Seq(vqfSets.ted, vqfSets.fs, vqfSets.catapult).foreach { ps =>
+      assert(ps.size == 6)
+      ps.foreach(p => assert(p.numEdges >= 3 && p.numEdges <= tiny.eMax, p.key))
+    }
+    (vqfSets.fs ++ vqfSets.catapult).foreach(p => assert(p.support >= frequentAt, p.key))
+  }
+
   test("tables56 produce per-query formulation rows") {
-    val db = MoleculeGen.db(MoleculeGen.aidsLike(tiny.aidsSmall))
-    val rows = Experiments.tables56("AIDS", db, k = 6, eMax = tiny.eMax,
-      supMin = tiny.supMin, nQueries = 3, minE = 8, maxE = 12)
+    val queries = Vqf.sampleQueries(vqfDb, 3, minE = 8, maxE = 12)
+    val rows = Experiments.tables56("AIDS", vqfDb, vqfSets, queries)
     assert(rows.size == 3)
     rows.foreach { r =>
       assert(r.queryEdges >= 1)
@@ -48,12 +62,21 @@ class ExperimentsSpec extends SparkSpec {
     assert(Experiments.renderTable6(rows).tail.map(_.takeWhile(_ != ' ')) == rows.map(_.query))
   }
 
+  test("tables56 formulates exactly the queries it is given, in order") {
+    val queries = Vqf.sampleQueries(vqfDb, 4, minE = 5, maxE = 14, seed = 3)
+    assert(queries.map(_.numEdges).distinct.size > 1)
+    Seq(queries, queries.reverse, queries.take(1)).foreach { qs =>
+      val rows = Experiments.tables56("AIDS", vqfDb, vqfSets, qs)
+      assert(rows.map(_.query) == qs.indices.map(i => s"AIDS_Q${i + 1}"))
+      assert(rows.map(_.queryEdges) == qs.map(_.numEdges))
+    }
+  }
+
   test("table7 reports importance counts within bounds") {
-    val db = MoleculeGen.db(MoleculeGen.aidsLike(tiny.aidsSmall))
     val repoDb = MoleculeGen.db(MoleculeGen.fragmentRepo(100, seed = 31))
-    val repo = repro.core.Vqf.exactRepository(repoDb)
-    val rows = Experiments.table7(db, repo, k = 5, eMax = tiny.eMax,
-      supMin = tiny.supMin, minEdges = 2)
+    val repo = Vqf.exactRepository(repoDb)
+    val sets = Experiments.vqfSets(vqfDb, k = 5, eMax = tiny.eMax, supMin = tiny.supMin, minEdges = 2)
+    val rows = Experiments.table7(sets, repo)
     assert(rows.map(_.method) == Seq("FS", "CATAPULT", "TED"))
     rows.foreach(r => assert(r.important >= 0 && r.important <= r.total))
     assert(Experiments.renderTable7(rows).size == 4)
@@ -81,7 +104,7 @@ class ExperimentsSpec extends SparkSpec {
 
   test("renderResult formats INF for timed-out runs") {
     val db = MoleculeGen.db(MoleculeGen.aidsLike(20))
-    val r = repro.core.Baselines.allG(db, 3, 10, timeoutMillis = 1)
+    val r = Baselines.allG(db, 3, 10, timeoutMillis = 1)
     assert(Experiments.renderResult(r).contains("INF"))
   }
 }
