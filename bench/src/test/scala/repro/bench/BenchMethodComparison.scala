@@ -71,7 +71,7 @@ class BenchMethodComparison extends SparkSpec {
       val t = Ted.full(db, TedConfig(k = B.k, eMax = em, timeoutMillis = T))
       val a = Baselines.allG(db, B.k, em, T)
       println(f"E_max=$em%-3d TED covRate=${t.coverageRate}%.4f ${t.millis}%6d ms | " +
-        f"ALL_g covRate=${a.coverageRate}%.4f ${if (a.timedOut) "INF" else a.millis + " ms"}")
+        f"ALL_g covRate=${a.coverageRate}%.4f ${if (a.timedOut) "INF" else s"${a.millis} ms"}")
       assert(!t.timedOut, s"TED must finish at E_max=$em")
       if (em >= 15) assert(a.timedOut || a.millis > 10 * math.max(1, t.millis),
         "ALL_g should hit INF (or near) at E_max=15 as in the paper")
@@ -132,7 +132,7 @@ class BenchMethodComparison extends SparkSpec {
       val db = MoleculeGen.db(MoleculeGen.pubChemBand(300, lo, hi))
       val t = Ted.full(db, TedConfig(k = B.k, eMax = B.eMax, timeoutMillis = T))
       val f = Baselines.fsgG(db, B.k, B.eMax, B.supMin, T)
-      println(f"D($lo,$hi]  TED covRate=${t.coverageRate}%.4f ${t.millis}%5d ms | FSG_g covRate=${f.coverageRate}%.4f ${if (f.timedOut) "INF" else f.millis + " ms"}")
+      println(f"D($lo,$hi]  TED covRate=${t.coverageRate}%.4f ${t.millis}%5d ms | FSG_g covRate=${f.coverageRate}%.4f ${if (f.timedOut) "INF" else s"${f.millis} ms"}")
       assert(!t.timedOut)
       t.coverageRate
     }

@@ -4,20 +4,39 @@ import repro.cover.PesIndex
 import repro.enumeration.{Enumerator, PatternNode, TedTimeout}
 import repro.graph._
 
-/** A discovered pattern with its database-wide cover set. */
-final case class Pattern(
-    code: Vector[CodeEdge],
-    graph: LabeledGraph,
-    cover: Array[Int],
-    support: Int,
-) {
+/** A discovered pattern: its DFS code and its database-wide cover set,
+  * from which everything else follows. Build one with [[Pattern.of]], so
+  * that `support` is the one derived from `cover`.
+  */
+final case class Pattern(code: Vector[CodeEdge], cover: Array[Int], support: Int) {
+  lazy val graph: LabeledGraph = DfsCode.toGraph(code)
   def key: String = DfsCode.key(code)
   def numEdges: Int = code.length
 }
 
 object Pattern {
+  /** The pattern with DFS code `code` and sorted global cover set `cover`
+    * over a database whose graph g owns the global edge ids
+    * `edgeOffset(g) until edgeOffset(g + 1)` (as [[GraphDb.edgeOffset]]).
+    * Its support is the number of graphs the cover touches: each embedding
+    * covers edges of its own graph, so these are the containing graphs.
+    */
+  def of(code: Vector[CodeEdge], cover: Array[Int], edgeOffset: Array[Int]): Pattern = {
+    var support = 0
+    var g = 0
+    var i = 0
+    while (i < cover.length) {
+      if (support == 0 || cover(i) >= edgeOffset(g + 1)) {
+        while (edgeOffset(g + 1) <= cover(i)) g += 1
+        support += 1
+      }
+      i += 1
+    }
+    Pattern(code, cover, support)
+  }
+
   /** The pattern of an enumerated search-space node, with its cover set. */
-  def of(n: PatternNode, db: GraphDb): Pattern = Pattern(n.code, n.graph, n.coverGlobal(db), n.support)
+  def of(n: PatternNode, db: GraphDb): Pattern = of(n.code, n.coverGlobal(db), db.edgeOffset)
 }
 
 /** Outcome of one discovery run (any method). `timedOut` mirrors the
@@ -147,7 +166,7 @@ object Ted {
     try {
       if (cfg.useIps)
         Ips.initialPatterns(en, db, cfg).foreach { n =>
-          if (n.numEdges >= cfg.minEdges && !pes.isFull && !pes.contains(n.key)) {
+          if (!pes.isFull && !pes.contains(n.key)) {
             pes.insert(n.code, n.key, n.coverGlobal(db))
             ipsSeeded = true
           }
@@ -157,31 +176,10 @@ object Ted {
       case _: TedTimeout => timedOut = true
     }
 
-    val patterns = pes.patternSlots.map { s =>
-      val code = pes.codeAt(s)
-      Pattern(code, DfsCode.toGraph(code), pes.coverAt(s), supportOf(db, pes.coverAt(s)))
-    }
+    val patterns = pes.patternSlots.map(s => Pattern.of(pes.codeAt(s), pes.coverAt(s), db.edgeOffset))
     RunResult(method, patterns, pes.totalCoverage, db.totalEdges,
       (System.nanoTime() - t0) / 1000000L, enumerated,
       pes.maintenanceNanos, pes.sizeBytes, timedOut)
-  }
-
-  /** Support derived from a cover set: the distinct graphs it touches
-    * (each embedding contributes its own graph's edges, so the covered
-    * graphs are exactly the containing graphs). Each graph owns a
-    * contiguous range of global edge ids, so along the sorted cover the
-    * distinct graphs are the changes of graph.
-    */
-  private def supportOf(db: GraphDb, cover: Array[Int]): Int = {
-    var n = 0
-    var last = -1
-    var i = 0
-    while (i < cover.length) {
-      val g = db.graphOfEdge(cover(i))
-      if (g != last) { n += 1; last = g }
-      i += 1
-    }
-    n
   }
 
   /** TED_BASE: Algorithm 3 without either optimization. */
@@ -199,9 +197,9 @@ object Ted {
 
 /** Initial Pattern Selection (Section 5.2): benefit-greedy hill climbing
   * from every 1-edge root, then the k climbed patterns with maximum
-  * coverage become the initial pattern set. The enumerator keeps every
-  * children list the climbs compute, so the DFS that follows takes them
-  * instead of expanding those nodes again.
+  * coverage and at least MinE edges become the initial pattern set. The
+  * enumerator keeps every children list the climbs compute, so the DFS
+  * that follows takes them instead of expanding those nodes again.
   */
 object Ips {
   def initialPatterns(en: Enumerator, db: GraphDb, cfg: TedConfig): Seq[PatternNode] = {
@@ -221,6 +219,7 @@ object Ips {
       cur
     }
     climbed
+      .filter(_.numEdges >= cfg.minEdges)
       .sortBy(-_.coverage(db))
       .distinctBy(_.key)
       .take(cfg.k)

@@ -93,7 +93,7 @@ object Vqf {
   /** Greedy pattern-at-a-time formulation of `q` from pattern set `ps`:
     * larger usable patterns first, each claiming an edge-disjoint image
     * (assumption 2 of Section 7.1); leftovers are built edge-at-a-time.
-    * `supports` carries each pattern's database support for the
+    * A used pattern whose `support` is below `supMin` of `db` sets the
     * "infrequent pattern used" marker of Table 6.
     */
   def formulate(q: LabeledGraph, ps: Seq[Pattern], db: GraphDb, supMin: Double): Formulation = {

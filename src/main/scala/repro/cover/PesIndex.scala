@@ -8,9 +8,11 @@ import repro.graph.{CodeEdge, GraphDb}
   * DELETE / UPDATE / SELECT operations.
   *
   * Patterns occupy slots 0..k-1 (k <= 64), so the reverse cover set
-  * rCov(e) is a Long bitmask per global edge. rCnt is a TreeMap from
-  * private-coverage value to the slots at that value, making SELECT of
-  * p_min (minimum loss score) a first-entry lookup.
+  * rCov(e) is a Long bitmask per global edge. rCnt and p_min are not
+  * stored: with at most 64 slots, SELECT scans the live slots for the
+  * least private coverage. Each slot stamps when its private coverage
+  * last changed; among equal values the oldest stamp wins, so p_min is
+  * the slot that has sat longest in the least-valued rCnt bucket.
   *
   * Beyond the paper, the index also maintains the per-graph uncovered-edge
   * count needed by the PRM rules (Definition 7) — a transition of rCov(e)
@@ -28,8 +30,10 @@ final class PesIndex(val k: Int, val db: GraphDb) {
   private val slotCode  = new Array[Vector[CodeEdge]](k)
   private val slotKey   = new Array[String](k)
   private val pCov = new Array[Int](k)
-  private val rCnt = new java.util.TreeMap[Int, mutable.LinkedHashSet[Int]]()
-  private val codes = mutable.Map.empty[String, Int] // code key -> slot
+  // When each slot's pCov last changed, from `clock`: SELECT's tie order.
+  private val pCovStamp = new Array[Long](k)
+  private var clock = 0L
+  private var live = 0
 
   /** |Cov(P, D)|: total edges of D covered by the current pattern set. */
   var totalCoverage: Int = 0
@@ -47,9 +51,9 @@ final class PesIndex(val k: Int, val db: GraphDb) {
     r
   }
 
-  def size: Int = codes.size
-  def isFull: Boolean = size == k
-  def contains(codeKey: String): Boolean = codes.contains(codeKey)
+  def size: Int = live
+  def isFull: Boolean = live == k
+  def contains(codeKey: String): Boolean = slotKey.contains(codeKey)
 
   def patternSlots: Seq[Int] = (0 until k).filter(slotCode(_) != null)
   def codeAt(slot: Int): Vector[CodeEdge] = slotCode(slot)
@@ -59,26 +63,25 @@ final class PesIndex(val k: Int, val db: GraphDb) {
   /** Edge-level membership: is global edge `e` covered by any pattern? */
   def isCovered(e: Int): Boolean = rCov(e) != 0L
 
-  private def rcntAdd(slot: Int, value: Int): Unit =
-    rCnt.computeIfAbsent(value, _ => mutable.LinkedHashSet.empty) += slot
-
-  private def rcntRemove(slot: Int, value: Int): Unit = {
-    val bucket = rCnt.get(value)
-    bucket -= slot
-    if (bucket.isEmpty) rCnt.remove(value)
-  }
-
-  private def rcntMove(slot: Int, from: Int, to: Int): Unit = {
-    rcntRemove(slot, from); rcntAdd(slot, to)
+  private def setPCov(slot: Int, value: Int): Unit = {
+    pCov(slot) = value
+    clock += 1
+    pCovStamp(slot) = clock
   }
 
   /** SELECT: the pattern p_min with minimum private coverage, as
     * (lossScore, slot) — Score_L = |pCov(p_min)| (Section 4.2).
     */
   def minLoss: (Int, Int) = timed {
-    require(!rCnt.isEmpty, "minLoss on an empty pattern set")
-    val e = rCnt.firstEntry()
-    (e.getKey, e.getValue.head)
+    require(live > 0, "minLoss on an empty pattern set")
+    var best = -1
+    var s = 0
+    while (s < k) {
+      if (slotCode(s) != null && (best < 0 || pCov(s) < pCov(best) ||
+          pCov(s) == pCov(best) && pCovStamp(s) < pCovStamp(best))) best = s
+      s += 1
+    }
+    (pCov(best), best)
   }
 
   /** Benefit score of a candidate cover set: |{e in cov : rCov(e) = 0}|. */
@@ -92,12 +95,12 @@ final class PesIndex(val k: Int, val db: GraphDb) {
   /** INSERT: add pattern `code` with cover set `cover` into a free slot. */
   def insert(code: Vector[CodeEdge], codeKey: String, cover: Array[Int]): Int = timed {
     require(size < k, "INSERT on a full pattern set — use update")
-    require(!codes.contains(codeKey), s"pattern already present: $codeKey")
-    val slot = (0 until k).find(slotCode(_) == null).get
+    require(!contains(codeKey), s"pattern already present: $codeKey")
+    val slot = slotCode.indexOf(null)
     slotCover(slot) = cover
     slotCode(slot) = code
     slotKey(slot) = codeKey
-    codes(codeKey) = slot
+    live += 1
     var priv = 0
     val bit = 1L << slot
     var i = 0
@@ -110,14 +113,12 @@ final class PesIndex(val k: Int, val db: GraphDb) {
         priv += 1
       } else if (java.lang.Long.bitCount(old) == 1) {
         val p = java.lang.Long.numberOfTrailingZeros(old)
-        rcntMove(p, pCov(p), pCov(p) - 1)
-        pCov(p) -= 1
+        setPCov(p, pCov(p) - 1)
       }
       rCov(e) = old | bit
       i += 1
     }
-    pCov(slot) = priv
-    rcntAdd(slot, priv)
+    setPCov(slot, priv)
     slot
   }
 
@@ -138,17 +139,15 @@ final class PesIndex(val k: Int, val db: GraphDb) {
         uncovered(db.graphOfEdge(e)) += 1
       } else if (java.lang.Long.bitCount(now) == 1) {
         val p = java.lang.Long.numberOfTrailingZeros(now)
-        rcntMove(p, pCov(p), pCov(p) + 1)
-        pCov(p) += 1
+        setPCov(p, pCov(p) + 1)
       }
       i += 1
     }
-    rcntRemove(slot, pCov(slot))
-    codes.remove(slotKey(slot))
     slotCover(slot) = null
     slotCode(slot) = null
     slotKey(slot) = null
     pCov(slot) = 0
+    live -= 1
   }
 
   /** UPDATE: swap `code` in for the pattern at `slot` (DELETE + INSERT). */
@@ -159,11 +158,14 @@ final class PesIndex(val k: Int, val db: GraphDb) {
 
   /** Logical (sparse) index footprint in bytes for Table 3: one
     * (edgeId, mask) entry per covered edge, the per-pattern cover lists,
-    * and the scalar components.
+    * the scalar components, and one rCnt entry per distinct private
+    * coverage among the live slots.
     */
-  def sizeBytes: Long =
-    12L * totalCoverage + 4L * patternSlots.map(slotCover(_).length.toLong).sum +
-      8L * k + 12L * rCnt.size + 16L
+  def sizeBytes: Long = {
+    val slots = patternSlots
+    12L * totalCoverage + 4L * slots.map(slotCover(_).length.toLong).sum + 8L * k +
+      12L * slots.map(pCov).distinct.size + 16L
+  }
 
   /** Naive recomputation of every component — the test oracle for the
     * incremental maintenance (never used on hot paths).

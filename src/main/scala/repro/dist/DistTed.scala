@@ -1,7 +1,6 @@
 package repro.dist
 
 import org.apache.spark.sql.{Dataset, SparkSession}
-import scala.collection.mutable
 import repro.core.{Pattern, RunResult, Ted, TedConfig}
 import repro.cover.MaxCover
 import repro.graph.DfsCode
@@ -82,14 +81,13 @@ object DistTed {
 
     // Global edge-id space: order graphs by id, offset by cumulative edges.
     // Two graphs with one id would share their edge ids.
-    val offset = mutable.Map.empty[Long, Int]
-    var acc = 0
-    scan.edgeCounts.sortBy(_._1).foreach { case (id, e) =>
-      if (offset.contains(id)) throw new IllegalArgumentException(s"duplicate graph id $id")
-      offset(id) = acc
-      acc += e
+    val byId = scan.edgeCounts.sortBy(_._1)
+    (1 until byId.length).find(g => byId(g)._1 == byId(g - 1)._1).foreach { g =>
+      throw new IllegalArgumentException(s"duplicate graph id ${byId(g)._1}")
     }
-    val totalEdges = acc
+    val edgeOffset = byId.scanLeft(0)(_ + _._2)
+    val offset = byId.iterator.map(_._1).zip(edgeOffset.iterator).toMap
+    val totalEdges = edgeOffset.last
 
     val covers = coverDS(spark, ds, candidates).collect()
     val byCode = covers.groupBy(_.code)
@@ -99,11 +97,7 @@ object DistTed {
     }
 
     val (chosen, coverage) = MaxCover.greedy(coverSets, cfg.k, totalEdges)
-    val patterns = chosen.map { ci =>
-      val code = DfsCode.parse(ordered(ci))
-      val support = byCode(ordered(ci)).length
-      Pattern(code, DfsCode.toGraph(code), coverSets(ci), support)
-    }
+    val patterns = chosen.map(ci => Pattern.of(DfsCode.parse(ordered(ci)), coverSets(ci), edgeOffset))
     val res = RunResult("DistTED", patterns, coverage, totalEdges,
       (System.nanoTime() - t0) / 1000000L, candidates.size.toLong, 0L, 0L, scan.timedOut)
     DistResult(res)

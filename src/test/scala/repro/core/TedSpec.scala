@@ -4,7 +4,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
 import repro.TestGraphs
 import repro.data.{MoleculeGen, SampleDb}
-import repro.graph.GraphDb
+import repro.graph.{GraphDb, LabeledGraph}
 
 class TedSpec extends AnyFunSuite {
 
@@ -101,6 +101,18 @@ class TedSpec extends AnyFunSuite {
     assert(init.size <= cfg.k)
     assert(init.map(_.key).distinct.size == init.size)
     assert(init.forall(_.numEdges <= cfg.eMax))
+  }
+
+  test("IPS takes its k seeds among the climbed patterns of at least MinE edges") {
+    // The ring's climb stops at its 1-edge root (a 2-path covers no more
+    // than the edge's 6), the path's climbs reach 3 and 2 edges.
+    val path = LabeledGraph(0, Seq(1, 2, 3, 4), Seq((0, 1, 0), (1, 2, 0), (2, 3, 0)))
+    val ring = LabeledGraph(1, Seq.fill(6)(0), (0 until 6).map(i => (i, (i + 1) % 6, 0)))
+    val db = TestGraphs.db(path, ring)
+    val mine2 = TedConfig(k = 1, eMax = 4, minEdges = 2)
+    val init = Ips.initialPatterns(new repro.enumeration.Enumerator(db, mine2.eMax), db, mine2)
+    assert(init.map(_.key) == Seq("0,1,1,0,2;1,2,2,0,3;2,3,3,0,4"))
+    assert(init.head.coverage(db) == 3)
   }
 
   test("IPS hill climbing never returns a pattern worse than its root") {
@@ -203,6 +215,16 @@ class TedSpec extends AnyFunSuite {
     val res = Ted.full(SampleDb.db, cfg)
     assert(res.indexNanos > 0)
     assert(res.indexBytes > 0)
+  }
+
+  test("Pattern.of counts the graphs whose edge ranges the cover touches") {
+    // Edge ranges [0, 2), [2, 2) (an edgeless graph) and [2, 5).
+    val edgeOffset = Array(0, 2, 2, 5)
+    val code = Vector(repro.graph.CodeEdge(0, 1, 0, 0, 0))
+    assert(Pattern.of(code, Array(0, 1, 3, 4), edgeOffset).support == 2)
+    assert(Pattern.of(code, Array(1, 2), edgeOffset).support == 2)
+    assert(Pattern.of(code, Array(4), edgeOffset).support == 1)
+    assert(Pattern.of(code, Array.empty, edgeOffset).support == 0)
   }
 
   test("support recorded on patterns matches containing graphs") {

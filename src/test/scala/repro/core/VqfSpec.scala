@@ -4,12 +4,17 @@ import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
 import repro.data.{MoleculeGen, SampleDb}
 import repro.enumeration.Enumerator
-import repro.graph.{CanonicalCode, LabeledGraph}
+import repro.TestGraphs
+import repro.graph.{CanonicalCode, GraphDb, LabeledGraph}
 import repro.iso.SubIso
 
 class VqfSpec extends AnyFunSuite {
 
   private lazy val db = MoleculeGen.db(MoleculeGen.aidsLike(40))
+
+  /** Pattern `g` with its cover set, and so its support, over `pdb`. */
+  private def patternOf(g: LabeledGraph, pdb: GraphDb): Pattern =
+    Pattern.of(CanonicalCode.minCodeOf(g), TestGraphs.coverViaSubIso(g, pdb).toArray.sorted, pdb.edgeOffset)
 
   test("sampled queries are connected subgraphs of the database") {
     val qs = Vqf.sampleQueries(db, 5, minE = 8, maxE = 12, seed = 1)
@@ -34,9 +39,8 @@ class VqfSpec extends AnyFunSuite {
   test("formulate counts steps = used patterns + leftover edges") {
     // Query: path C-C-C; pattern set: the C-C edge.
     val q = LabeledGraph(0, Seq(0, 0, 0), Seq((0, 1, 0), (1, 2, 0)))
-    val pdb = repro.TestGraphs.db(q)
-    val edge = LabeledGraph(-1, Seq(0, 0), Seq((0, 1, 0)))
-    val p = Pattern(repro.graph.CanonicalCode.minCodeOf(edge), edge, Array(0), 1)
+    val pdb = TestGraphs.db(q)
+    val p = patternOf(LabeledGraph(-1, Seq(0, 0), Seq((0, 1, 0))), pdb)
     val f = Vqf.formulate(q, Seq(p), pdb, supMin = 0.1)
     // One pattern placement covers 1 edge, the other edge is manual.
     assert(f.patternsUsed == 1)
@@ -45,9 +49,8 @@ class VqfSpec extends AnyFunSuite {
 
   test("formulate with no usable patterns is all edge-at-a-time") {
     val q = LabeledGraph(0, Seq(0, 0, 0), Seq((0, 1, 0), (1, 2, 0)))
-    val pdb = repro.TestGraphs.db(q)
-    val sn = LabeledGraph(-1, Seq(5, 6), Seq((0, 1, 0)))
-    val p = Pattern(repro.graph.CanonicalCode.minCodeOf(sn), sn, Array(0), 1)
+    val pdb = TestGraphs.db(q)
+    val p = patternOf(LabeledGraph(-1, Seq(5, 6), Seq((0, 1, 0))), pdb)
     val f = Vqf.formulate(q, Seq(p), pdb, 0.1)
     assert(f.patternsUsed == 0 && f.steps == q.numEdges)
   }
@@ -56,9 +59,8 @@ class VqfSpec extends AnyFunSuite {
     // Query is a single triangle; two copies of the 2-edge path both fit,
     // but their images overlap after the first placement claims 2 edges.
     val q = LabeledGraph(0, Seq(0, 0, 0), Seq((0, 1, 0), (1, 2, 0), (2, 0, 0)))
-    val pdb = repro.TestGraphs.db(q)
-    val p2 = LabeledGraph(-1, Seq(0, 0, 0), Seq((0, 1, 0), (1, 2, 0)))
-    val pat = Pattern(repro.graph.CanonicalCode.minCodeOf(p2), p2, Array(0, 1), 1)
+    val pdb = TestGraphs.db(q)
+    val pat = patternOf(LabeledGraph(-1, Seq(0, 0, 0), Seq((0, 1, 0), (1, 2, 0))), pdb)
     val f = Vqf.formulate(q, Seq(pat, pat.copy()), pdb, 0.1)
     // First placement covers 2 edges; the second cannot find a disjoint
     // image (only 1 edge left), so steps = 1 pattern + 1 manual edge.
@@ -97,20 +99,19 @@ class VqfSpec extends AnyFunSuite {
     assert(repo.nonEmpty && repo.size <= repoDb.numGraphs)
     // Every whole compound of the repository is important; a nonsense
     // label is not.
-    val compounds = repoDb.graphs.map(g => Pattern(CanonicalCode.minCodeOf(g), g, Array(), 1))
+    val compounds = repoDb.graphs.map(patternOf(_, repoDb))
     assert(Vqf.bioImportance(compounds, repo) == compounds.size)
     val ted = Ted.full(db, TedConfig(k = 3, eMax = 3)).patterns
     val important = Vqf.bioImportance(ted, repo)
     assert(important >= 0 && important <= ted.size)
-    val junk = LabeledGraph(-1, Seq(99, 98), Seq((0, 1, 7)))
-    val junkPattern = Pattern(CanonicalCode.minCodeOf(junk), junk, Array(), 0)
+    val junkPattern = patternOf(LabeledGraph(-1, Seq(99, 98), Seq((0, 1, 7))), repoDb)
     assert(Vqf.bioImportance(Seq(junkPattern), repo) == 0)
   }
 
   test("formulation marks infrequent pattern usage") {
     // G4's S-O edge pattern has support 1 (infrequent at 0.5).
-    val so = LabeledGraph(-1, Seq(SampleDb.O, SampleDb.S), Seq((0, 1, 0)))
-    val p = Pattern(repro.graph.CanonicalCode.minCodeOf(so), so, Array(), 1)
+    val p = patternOf(LabeledGraph(-1, Seq(SampleDb.O, SampleDb.S), Seq((0, 1, 0))), SampleDb.db)
+    assert(p.support == 1)
     val q = SampleDb.g4
     val f = Vqf.formulate(q, Seq(p), SampleDb.db, 0.5)
     assert(f.patternsUsed == 1 && f.usedInfrequent)

@@ -1,6 +1,7 @@
 package repro.cover
 
 import org.scalatest.funsuite.AnyFunSuite
+import scala.collection.mutable
 import scala.util.Random
 import repro.TestGraphs
 import repro.data.SampleDb
@@ -64,6 +65,18 @@ class PesIndexSpec extends AnyFunSuite {
     val (loss, slot) = pes.minLoss
     assert(loss == 1 && slot == s2)
     assert(s1 != s2)
+  }
+
+  test("minLoss breaks a tie by the slot whose private coverage changed first") {
+    val pes = newIndex()
+    val a = pes.insert(code(1), key(1), Array(0, 1))
+    val b = pes.insert(code(2), key(2), Array(2, 3))
+    assert(pes.minLoss == ((2, a)))
+    // A leaves the tie (edge 1 becomes shared) and returns to it.
+    val c = pes.insert(code(3), key(3), Array(1, 10, 11, 12))
+    assert(pes.minLoss == ((1, a)))
+    pes.delete(c)
+    assert(a < b && pes.minLoss == ((2, b)))
   }
 
   test("delete restores coverage and promotes shared edges to private") {
@@ -158,19 +171,43 @@ class PesIndexSpec extends AnyFunSuite {
     val db = SampleDb.db10
     val pes = new PesIndex(5, db)
     var nextCode = 0
+    // Model of SELECT's tie order: when each live slot's private coverage
+    // last changed, replayed edge by edge in cover order. An edge left
+    // with one owner changes that owner's private coverage.
+    val changedAt = mutable.Map.empty[Int, Int]
+    var clock = 0
+    def changed(slot: Int): Unit = { clock += 1; changedAt(slot) = clock }
+    def owners(e: Int, gone: Int): Seq[Int] =
+      pes.patternSlots.filter(s => s != gone && pes.coverAt(s).contains(e))
+    /** Replays the DELETE of slot `gone` (none if -1), then the INSERT of
+      * `cover` up to the new slot's own change.
+      */
+    def replay(gone: Int, cover: Array[Int]): Unit = {
+      if (gone >= 0) {
+        pes.coverAt(gone).foreach { e => val o = owners(e, gone); if (o.size == 1) changed(o.head) }
+        changedAt -= gone
+      }
+      cover.foreach { e => val o = owners(e, gone); if (o.size == 1) changed(o.head) }
+    }
     (1 to 200).foreach { _ =>
       val op = rng.nextInt(3)
       if (op == 0 && pes.size < 5) {
         nextCode += 1
         val cover = Array.fill(1 + rng.nextInt(12))(rng.nextInt(db.totalEdges)).distinct.sorted
-        pes.insert(code(nextCode), key(nextCode), cover)
+        replay(-1, cover)
+        changed(pes.insert(code(nextCode), key(nextCode), cover))
       } else if (op == 1 && pes.size > 0) {
         val slots = pes.patternSlots
-        pes.delete(slots(rng.nextInt(slots.length)))
+        val gone = slots(rng.nextInt(slots.length))
+        replay(gone, Array.empty)
+        pes.delete(gone)
       } else if (pes.size > 0) {
         nextCode += 1
         val cover = Array.fill(1 + rng.nextInt(12))(rng.nextInt(db.totalEdges)).distinct.sorted
-        pes.update(pes.minLoss._2, code(nextCode), key(nextCode), cover)
+        val gone = pes.minLoss._2
+        replay(gone, cover)
+        pes.update(gone, code(nextCode), key(nextCode), cover)
+        changed(pes.patternSlots.find(pes.codeAt(_) == code(nextCode)).get)
       }
       assertConsistent(pes)
       // Exactly the live slots' keys are indexed: delete and update drop
@@ -180,7 +217,8 @@ class PesIndexSpec extends AnyFunSuite {
       if (pes.size > 0) {
         val (loss, slot) = pes.minLoss
         assert(loss == pes.privateCoverage(slot))
-        assert(pes.patternSlots.forall(s => pes.privateCoverage(s) >= loss))
+        assert(slot == pes.patternSlots.minBy(s => (pes.privateCoverage(s), changedAt(s))),
+          "minLoss broke a tie otherwise than by the earliest change")
       }
     }
   }

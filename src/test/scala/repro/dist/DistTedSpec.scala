@@ -45,6 +45,14 @@ class DistTedSpec extends SparkSpec {
     assert(dist.result.patterns.forall(_.numEdges <= cfg.eMax))
   }
 
+  test("distributed TED records each pattern's containing graphs as its support") {
+    val dist = DistTed.run(spark, ds, cfg)
+    assert(dist.result.patterns.nonEmpty)
+    dist.result.patterns.foreach { p =>
+      assert(p.support == db.graphs.count(g => repro.iso.SubIso.exists(p.graph, g)), s"pattern ${p.key}")
+    }
+  }
+
   test("single-partition distributed run reproduces sequential coverage") {
     val one = GraphFrames.toDS(spark, db).coalesce(1)
     val seq = Ted.full(db, cfg)
