@@ -116,8 +116,8 @@ object Ted {
         pes.insert(node.code, node.key, cover)
       } else {
         val b = pes.benefit(cover)
-        val (loss, slot) = pes.minLoss
-        if (b > swapThreshold(cfg.alpha, loss, pes.totalCoverage, cfg.k))
+        val slot = pes.minLossSlot
+        if (b > swapThreshold(cfg.alpha, pes.privateCoverage(slot), pes.totalCoverage, cfg.k))
           pes.update(slot, node.code, node.key, cover)
       }
     }
@@ -131,8 +131,7 @@ object Ted {
       */
     def prmKeep(parent: PatternNode, child: PatternNode): Boolean = {
       if (!pes.isFull) return true
-      val (loss, _) = pes.minLoss
-      val threshold = swapThreshold(cfg.alpha, loss, pes.totalCoverage, cfg.k)
+      val threshold = swapThreshold(cfg.alpha, pes.privateCoverage(pes.minLossSlot), pes.totalCoverage, cfg.k)
       var ub = 0L
       val ids = child.graphIds
       var i = 0

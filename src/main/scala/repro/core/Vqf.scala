@@ -133,19 +133,17 @@ object Vqf {
     * but not edge-coverage-driven.
     */
   def catapultProxy(db: GraphDb, pool: IndexedSeq[PatternNode], k: Int, eMax: Int): Seq[Pattern] = {
-    val chosen = mutable.ArrayBuffer.empty[Pattern]
+    val chosen = mutable.ArrayBuffer.empty[PatternNode]
     val coveredGraphs = new BitSet(db.numGraphs)
-    val poolPatterns = pool.map(Pattern.of(_, db))
-    val poolGraphIds = pool.map(_.graphIds)
-    val remaining = new BitSet(poolPatterns.length)
-    remaining.set(0, poolPatterns.length)
+    val remaining = new BitSet(pool.length)
+    remaining.set(0, pool.length)
     while (chosen.size < k && !remaining.isEmpty) {
       var best = -1
       var bestScore = Double.MinValue
       var i = remaining.nextSetBit(0)
       while (i >= 0) {
-        val p = poolPatterns(i)
-        val marginal = poolGraphIds(i).count(g => !coveredGraphs.get(g))
+        val p = pool(i)
+        val marginal = p.graphIds.count(g => !coveredGraphs.get(g))
         val sizeBonus = -math.abs(p.numEdges - (eMax / 2.0)) // prefer mid-size
         val redundant = chosen.exists(c =>
           SubIso.exists(p.graph, c.graph) || SubIso.exists(c.graph, p.graph))
@@ -153,11 +151,11 @@ object Vqf {
         if (score > bestScore) { bestScore = score; best = i }
         i = remaining.nextSetBit(i + 1)
       }
-      chosen += poolPatterns(best)
-      poolGraphIds(best).foreach(coveredGraphs.set)
+      chosen += pool(best)
+      pool(best).graphIds.foreach(coveredGraphs.set)
       remaining.clear(best)
     }
-    chosen.toSeq
+    chosen.toSeq.map(Pattern.of(_, db))
   }
 
   /** Synthetic "biological importance" repository (DESIGN.md §4): a

@@ -69,10 +69,11 @@ final class PesIndex(val k: Int, val db: GraphDb) {
     pCovStamp(slot) = clock
   }
 
-  /** SELECT: the pattern p_min with minimum private coverage, as
-    * (lossScore, slot) — Score_L = |pCov(p_min)| (Section 4.2).
+  /** SELECT: the slot of the pattern p_min with minimum private
+    * coverage; its loss score Score_L = |pCov(p_min)| (Section 4.2) is
+    * `privateCoverage(minLossSlot)`.
     */
-  def minLoss: (Int, Int) = timed {
+  def minLossSlot: Int = timed {
     require(live > 0, "minLoss on an empty pattern set")
     var best = -1
     var s = 0
@@ -81,7 +82,13 @@ final class PesIndex(val k: Int, val db: GraphDb) {
           pCov(s) == pCov(best) && pCovStamp(s) < pCovStamp(best))) best = s
       s += 1
     }
-    (pCov(best), best)
+    best
+  }
+
+  /** SELECT as (lossScore, slot). */
+  def minLoss: (Int, Int) = {
+    val s = minLossSlot
+    (pCov(s), s)
   }
 
   /** Benefit score of a candidate cover set: |{e in cov : rCov(e) = 0}|. */

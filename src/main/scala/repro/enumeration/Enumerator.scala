@@ -1,5 +1,6 @@
 package repro.enumeration
 
+import scala.collection.immutable.ArraySeq
 import scala.collection.mutable
 import repro.graph._
 
@@ -94,7 +95,9 @@ final class PatternNode private[enumeration] (
   /** Cover set over the whole database as sorted distinct global edge ids:
     * `Cov(p, D) = union over embeddings of their edge images`. Built one
     * graph at a time: its embeddings' local edge ids are marked in a
-    * bitset, which is then read out in ascending order and cleared.
+    * bitset, which is then read out in ascending order and cleared. Both
+    * the bitset and the output buffer are the calling thread's scratch;
+    * the result is an exact-length copy.
     */
   def coverGlobal(db: GraphDb): Array[Int] = {
     if (coverCache == null) {
@@ -102,15 +105,16 @@ final class PatternNode private[enumeration] (
       // Before `embeddings` is built, embedding k is a parent embedding
       // plus edge ext(3k + 2).
       val ext = if (built == null) this.ext else null
-      val out = new Array[Int](math.min(n.toLong * numEdges, db.totalEdges.toLong).toInt)
+      val scratch = PatternNode.coverScratch.get
+      val out = scratch.out(math.min(n.toLong * numEdges, db.totalEdges.toLong).toInt)
       var m = 0
-      var marks = new Array[Long](1)
+      var marks = scratch.marks
       var k = 0
       while (k < n) {
         val gi = embOrParent(k).graphIdx
         val off = db.edgeOffset(gi)
         val words = (db.edgeOffset(gi + 1) - off + 63) >>> 6
-        if (marks.length < words) marks = new Array[Long](words)
+        if (marks.length < words) { marks = new Array[Long](words); scratch.marks = marks }
         while (k < n && embOrParent(k).graphIdx == gi) {
           val eids = embOrParent(k).eids
           var t = 0
@@ -130,12 +134,31 @@ final class PatternNode private[enumeration] (
           w += 1
         }
       }
-      coverCache = if (m == out.length) out else java.util.Arrays.copyOf(out, m)
+      coverCache = java.util.Arrays.copyOf(out, m)
     }
     coverCache
   }
 
   def coverage(db: GraphDb): Int = coverGlobal(db).length
+}
+
+private object PatternNode {
+  /** `coverGlobal`'s buffers, reused across calls. One per thread: Spark
+    * task threads build covers concurrently.
+    */
+  final class CoverScratch {
+    /** Edge marks of one graph, all zero between uses. */
+    var marks = new Array[Long](1)
+    private var buf = new Array[Int](64)
+
+    /** The output buffer, grown to at least `n` ints. */
+    def out(n: Int): Array[Int] = {
+      if (buf.length < n) buf = new Array[Int](math.max(n, 2 * buf.length))
+      buf
+    }
+  }
+
+  val coverScratch: ThreadLocal[CoverScratch] = ThreadLocal.withInitial(() => new CoverScratch)
 }
 
 /** Thrown when an enumeration-driven algorithm exceeds its deadline; the
@@ -169,6 +192,9 @@ final class Enumerator(
     if (d < startNanos) Long.MaxValue else d
   }
   private val table = new ExtensionTable
+  // The children `children` keeps, before the exact-sized copy it returns;
+  // cleared after the copy, so that it holds no node alive.
+  private var kidBuf = new Array[PatternNode](16)
   private val handedOff = new java.util.IdentityHashMap[PatternNode, IndexedSeq[PatternNode]]
 
   def checkDeadline(): Unit =
@@ -198,7 +224,9 @@ final class Enumerator(
       }
       gi += 1
     }
-    t.sortedGroups().iterator.map { grp =>
+    val order = t.sortedGroups()
+    Iterator.range(0, t.numGroups).map { a =>
+      val grp = order(a)
       val rec = t.records(grp)
       val embs = Array.tabulate(rec.length / 3) { k =>
         val gi = rec(3 * k); val u = rec(3 * k + 1); val e = rec(3 * k + 2)
@@ -223,9 +251,10 @@ final class Enumerator(
   /** Canonical children of `p`: every right-most extension grouped across
     * embeddings, kept iff its support clears `minSupport` and its code is
     * minimal (gSpan dedup). Both checks run on the grouped extension
-    * records; a kept child copies only its records and builds its
-    * embeddings when they are read. Does not check `eMax` — callers stop
-    * descending at `numEdges == eMax`.
+    * records, the minimality check on the group's tuple as `Int`s, so a
+    * rejected extension allocates nothing. A kept child copies only its
+    * records and builds its embeddings when they are read. Does not check
+    * `eMax` — callers stop descending at `numEdges == eMax`.
     */
   def children(p: PatternNode): IndexedSeq[PatternNode] = {
     checkDeadline()
@@ -243,19 +272,25 @@ final class Enumerator(
       RightMost.extend(db.graphs(emb.graphIdx), p.rmPath, p.nVerts, emb.vmap, emb.eids, t)
       k += 1
     }
-    val out = mutable.ArrayBuffer.empty[PatternNode]
-    t.sortedGroups().foreach { grp =>
-      if (minSupport <= 1 || t.support(grp, embs) >= minSupport) {
+    val order = t.sortedGroups()
+    if (kidBuf.length < t.numGroups) kidBuf = new Array[PatternNode](math.max(t.numGroups, 2 * kidBuf.length))
+    var n = 0
+    var a = 0
+    while (a < t.numGroups) {
+      val grp = order(a)
+      if ((minSupport <= 1 || t.support(grp, embs) >= minSupport) && t.isMin(grp, p.code, p.rmPath)) {
         val ce = t.codeEdge(grp)
-        val code = p.code :+ ce
-        if (CanonicalCode.isMin(code)) {
-          val rm = if (ce.isForward) DfsCode.extendRmPath(p.rmPath, ce) else p.rmPath
-          val nv = if (ce.isForward) p.nVerts + 1 else p.nVerts
-          out += new PatternNode(code, rm, nv, null, embs, t.records(grp))
-        }
+        val rm = if (ce.isForward) DfsCode.extendRmPath(p.rmPath, ce) else p.rmPath
+        val nv = if (ce.isForward) p.nVerts + 1 else p.nVerts
+        kidBuf(n) = new PatternNode(p.code :+ ce, rm, nv, null, embs, t.records(grp))
+        n += 1
       }
+      a += 1
     }
-    out.toIndexedSeq
+    val out = new Array[PatternNode](n)
+    System.arraycopy(kidBuf, 0, out, 0, n)
+    java.util.Arrays.fill(kidBuf.asInstanceOf[Array[AnyRef]], 0, n, null)
+    ArraySeq.unsafeWrapArray(out)
   }
 
   /** Every pattern of the (support-pruned) search space up to `eMax`
@@ -295,6 +330,8 @@ private final class ExtensionTable extends RightMost.Sink {
 
   private var nRecs = 0
   private var recs = new Array[Int](4 * 256)
+
+  private var order = new Array[Int](16)
 
   def clear(): Unit = {
     var g = 0
@@ -363,9 +400,15 @@ private final class ExtensionTable extends RightMost.Sink {
     }
   }
 
-  /** Group indices in `CodeEdge.ordering` of their tuples. */
+  def numGroups: Int = nGroups
+
+  /** Group indices in `CodeEdge.ordering` of their tuples: the first
+    * `numGroups` entries of an array reused by the next call.
+    */
   def sortedGroups(): Array[Int] = {
-    val order = Array.range(0, nGroups)
+    if (order.length < nGroups) order = new Array[Int](heads.length)
+    var g = 0
+    while (g < nGroups) { order(g) = g; g += 1 }
     var a = 1
     while (a < nGroups) {
       val g = order(a)
@@ -381,6 +424,14 @@ private final class ExtensionTable extends RightMost.Sink {
     val x = 5 * g; val y = 5 * h
     CodeEdge.compare(tuples(x), tuples(x + 1), tuples(x + 2), tuples(x + 3), tuples(x + 4),
       tuples(y), tuples(y + 1), tuples(y + 2), tuples(y + 3), tuples(y + 4))
+  }
+
+  /** Is `prefix` extended by group `g`'s tuple a minimal DFS code?
+    * `rmPath` is the prefix's right-most path.
+    */
+  def isMin(g: Int, prefix: Vector[CodeEdge], rmPath: List[Int]): Boolean = {
+    val o = 5 * g
+    CanonicalCode.isMin(prefix, rmPath, tuples(o), tuples(o + 1), tuples(o + 2), tuples(o + 3), tuples(o + 4))
   }
 
   def codeEdge(g: Int): CodeEdge = {

@@ -124,6 +124,66 @@ object CanonicalCode {
       k.load(code) && k.run(check = true)
     }
 
+  /** `isMin(prefix :+ CodeEdge(i, j, li, le, lj))`, with the extension as
+    * unpacked `Int`s and `rmPath` the prefix's right-most path (head =
+    * right-most vertex). Before the kernel runs, gSpan's necessary
+    * conditions ([[passesPreChecks]]) reject many non-minimal codes
+    * without loading it.
+    */
+  def isMin(prefix: Vector[CodeEdge], rmPath: List[Int], i: Int, j: Int, li: Int, le: Int, lj: Int): Boolean =
+    if (prefix.isEmpty) li <= lj
+    else if (!passesPreChecks(prefix, rmPath, i, j, li, le, lj)) false
+    else {
+      val k = kernel.get
+      k.load(prefix, i, j, li, le, lj) && k.run(check = true)
+    }
+
+  /** gSpan's cheap minimality conditions on the extension (i, j, li, le,
+    * lj) of `prefix`. Each one names a smaller DFS code of the same
+    * pattern, so it rejects only codes that the kernel rejects, and the
+    * kernel's answer decides the rest:
+    *  - R1: either orientation of the new edge, as a first tuple
+    *    (0, 1, ...), is below `prefix(0)`; the kernel fails at step 0.
+    *  - R2: a backward edge r -> x from the right-most vertex r, whose
+    *    (le, li) is below (le1, l_y) of the forward right-most-path edge
+    *    x -> y. At that edge's step the new edge, walked forward from x to
+    *    the still unvisited r, is a smaller tuple.
+    *  - R3: a forward edge x -> w from a right-most-path vertex x other
+    *    than r, whose (le, lj) is below (le1, l_y) of the same edge
+    *    x -> y. The new edge, walked at that step, is again smaller.
+    * An equal pair decides nothing and is kept.
+    */
+  private[graph] def passesPreChecks(prefix: Vector[CodeEdge], rmPath: List[Int],
+                                     i: Int, j: Int, li: Int, le: Int, lj: Int): Boolean = {
+    val first = prefix(0)
+    if (labelsBelow(li, le, lj, first) || labelsBelow(lj, le, li, first)) return false
+    // x is the right-most-path vertex the rule compares at: the backward
+    // edge's target, or the forward edge's source.
+    val backward = i > j
+    if (backward && i != rmPath.head) return true
+    val x = if (backward) j else i
+    val l = if (backward) li else lj
+    // y: x's successor on the right-most path (head = right-most vertex).
+    // With x off the path, or x = r, no rule applies.
+    var y = -1
+    var path = rmPath
+    while (path.nonEmpty && path.head != x) { y = path.head; path = path.tail }
+    if (path.isEmpty || y < 0) return true
+    var t = 0
+    while (t < prefix.length) {
+      val ce = prefix(t)
+      if (ce.i == x && ce.j == y) return le > ce.le || le == ce.le && l >= ce.lj
+      t += 1
+    }
+    true
+  }
+
+  /** Is (li, le, lj) below `first`'s labels, the order of first tuples? */
+  @inline private def labelsBelow(li: Int, le: Int, lj: Int, first: CodeEdge): Boolean =
+    if (li != first.li) li < first.li
+    else if (le != first.le) le < first.le
+    else lj < first.lj
+
   @inline private def fit(a: Array[Int], n: Int): Array[Int] =
     if (a.length >= n) a else new Array[Int](math.max(n, 2 * a.length))
 
@@ -184,28 +244,53 @@ object CanonicalCode {
       * t); false if the code is no valid labeling of a graph.
       */
     def load(code: Vector[CodeEdge]): Boolean = {
-      val m = code.length
+      putTuples(code, code.length)
+      loadTuples(code.length)
+    }
+
+    /** [[load]] of `prefix` extended by the tuple (i, j, li, le, lj). */
+    def load(prefix: Vector[CodeEdge], i: Int, j: Int, li: Int, le: Int, lj: Int): Boolean = {
+      val m = prefix.length
+      putTuples(prefix, m + 1)
+      val o = 5 * m
+      tuples(o) = i; tuples(o + 1) = j; tuples(o + 2) = li; tuples(o + 3) = le; tuples(o + 4) = lj
+      loadTuples(m + 1)
+    }
+
+    /** `code`'s tuples into `tuples`, sized for `m` tuples. */
+    private def putTuples(code: Vector[CodeEdge], m: Int): Unit = {
+      tuples = fit(tuples, 5 * m)
+      var t = 0
+      while (t < code.length) {
+        val ce = code(t)
+        val o = 5 * t
+        tuples(o) = ce.i; tuples(o + 1) = ce.j
+        tuples(o + 2) = ce.li; tuples(o + 3) = ce.le; tuples(o + 4) = ce.lj
+        t += 1
+      }
+    }
+
+    /** The pattern graph of the first `m` tuples; false if they are no
+      * valid labeling of a graph.
+      */
+    private def loadTuples(m: Int): Boolean = {
       var n = 0
       var t = 0
       while (t < m) {
-        val ce = code(t)
-        if (ce.i < 0 || ce.j < 0 || ce.i == ce.j) return false
-        n = math.max(n, math.max(ce.i, ce.j) + 1)
+        val i = tuples(5 * t); val j = tuples(5 * t + 1)
+        if (i < 0 || j < 0 || i == j) return false
+        n = math.max(n, math.max(i, j) + 1)
         t += 1
       }
       codeVl = fit(codeVl, n)
       if (labeled.length < n) labeled = new Array[Boolean](codeVl.length)
       java.util.Arrays.fill(labeled, 0, n, false)
       codeSrc = fit(codeSrc, m); codeDst = fit(codeDst, m); codeEl = fit(codeEl, m)
-      tuples = fit(tuples, 5 * m)
       t = 0
       while (t < m) {
-        val ce = code(t)
         val o = 5 * t
-        tuples(o) = ce.i; tuples(o + 1) = ce.j
-        tuples(o + 2) = ce.li; tuples(o + 3) = ce.le; tuples(o + 4) = ce.lj
-        codeSrc(t) = ce.i; codeDst(t) = ce.j; codeEl(t) = ce.le
-        if (!label(ce.i, ce.li) || !label(ce.j, ce.lj)) return false
+        codeSrc(t) = tuples(o); codeDst(t) = tuples(o + 1); codeEl(t) = tuples(o + 3)
+        if (!label(tuples(o), tuples(o + 2)) || !label(tuples(o + 1), tuples(o + 4))) return false
         t += 1
       }
       var v = 0

@@ -215,8 +215,8 @@ class PesIndexSpec extends AnyFunSuite {
       val live = pes.patternSlots.map(s => repro.graph.DfsCode.key(pes.codeAt(s))).toSet
       (1 to nextCode).foreach(n => assert(pes.contains(key(n)) == live.contains(key(n)), s"key of code $n"))
       if (pes.size > 0) {
-        val (loss, slot) = pes.minLoss
-        assert(loss == pes.privateCoverage(slot))
+        val slot = pes.minLossSlot
+        assert(pes.minLoss == ((pes.privateCoverage(slot), slot)))
         assert(slot == pes.patternSlots.minBy(s => (pes.privateCoverage(s), changedAt(s))),
           "minLoss broke a tie otherwise than by the earliest change")
       }

@@ -206,6 +206,65 @@ class EnumeratorSpec extends AnyFunSuite {
     assert(sharedEdges > 0)
   }
 
+  test("coverGlobal returns a fresh exact-length array that later covers leave unchanged") {
+    TestGraphs.randomDbs(44).foreach { db =>
+      val nodes = enumerate(db, 4)
+      // Each cover with a copy taken right after its call.
+      val covers = nodes.map { n => val c = n.coverGlobal(db); (c, c.toVector) }
+      val distinct = java.util.Collections.newSetFromMap(new java.util.IdentityHashMap[Array[Int], java.lang.Boolean])
+      nodes.zip(covers).foreach { case (n, (c, atCall)) =>
+        assert(c.toVector == atCall, n.key)
+        assert(c.length == n.embeddings.iterator.flatMap(e => e.eids.map(db.edgeOffset(e.graphIdx) + _)).toSet.size, n.key)
+        assert(n.coverGlobal(db) eq c, n.key)
+        distinct.add(c)
+      }
+      assert(distinct.size == nodes.length)
+    }
+    // On a fresh thread, whose scratch buffer starts small: the cover of
+    // the 0-1 edge of a star with s leaves (s edges after graph 0's one
+    // edge, one embedding each), then another cover on the same thread. As
+    // s grows, some s meets the buffer's exact length.
+    val errors = new java.util.concurrent.ConcurrentLinkedQueue[Throwable]
+    val worker = new Thread(() =>
+      try {
+        (1 to 300).foreach { s =>
+          val star = LabeledGraph(1, 0 +: Seq.fill(s)(1), (1 to s).map(v => (0, v, 0)))
+          val db = TestGraphs.db(LabeledGraph(0, Seq(2, 2), Seq((0, 1, 0))), star)
+          val roots = new Enumerator(db, 1).roots
+          assert(roots.length == 2)
+          val cover = roots(0).coverGlobal(db)
+          roots(1).coverGlobal(db)
+          assert(cover.toSeq == (1 to s), s"star of $s edges")
+        }
+      } catch { case e: Throwable => errors.add(e) })
+    worker.start()
+    worker.join()
+    assert(errors.isEmpty, errors.toString)
+  }
+
+  test("covers built on 4 threads at once equal the sequential ones") {
+    val db = MoleculeGen.db(MoleculeGen.aidsLike(60))
+    val expected = enumerate(db, 4).map(_.coverGlobal(db).toVector)
+    val nodes = enumerate(db, 4) // fresh nodes, no cover built yet
+    val got = new Array[Array[Int]](nodes.length)
+    val errors = new java.util.concurrent.ConcurrentLinkedQueue[Throwable]
+    val start = new java.util.concurrent.CountDownLatch(1)
+    val threads = (0 until 4).map { t =>
+      new Thread(() =>
+        try {
+          start.await()
+          var i = t
+          while (i < nodes.length) { got(i) = nodes(i).coverGlobal(db); i += 4 }
+        } catch { case e: Throwable => errors.add(e) })
+    }
+    threads.foreach(_.start())
+    start.countDown()
+    threads.foreach(_.join())
+    assert(errors.isEmpty, errors.toString)
+    assert(nodes.length > 1000)
+    nodes.indices.foreach(i => assert(got(i).toVector == expected(i), nodes(i).key))
+  }
+
   test("roots are built once per enumerator") {
     val en = new Enumerator(SampleDb.db, 3)
     assert(en.roots eq en.roots)

@@ -177,30 +177,81 @@ class CanonicalCodeSpec extends AnyFunSuite {
   }
 
   test("isMin agrees with minCodeOf on every right-most extension code") {
+    // Both entries are checked against minCodeOf: isMin(code), and the
+    // (prefix, rmPath, tuple) entry, whose pre-checks may only reject codes
+    // that are not minimal.
     val rng = new Random(37)
     var accepted = 0
     var rejected = 0
-    (1 to 6).foreach { round =>
-      val nLabels = if (round % 3 == 0) 1 else 2
+    var preRejected = 0
+    // Rounds 1-6: one or two vertex labels, two edge labels. Round 7: three
+    // edge labels; round 8: one vertex and one edge label, where equal
+    // label pairs (R2's and R3's ties) are the rule.
+    (1 to 8).foreach { round =>
+      val nLabels = if (round % 3 == 0 || round == 8) 1 else 2
+      val nEdgeLabels = if (round == 7) 3 else if (round == 8) 1 else 2
       val db = new GraphDb(IndexedSeq.tabulate(4)(i =>
-        TestGraphs.randomConnected(rng, 6 + rng.nextInt(3), 1 + rng.nextInt(3), nLabels, 2, id = i)))
+        TestGraphs.randomConnected(rng, 6 + rng.nextInt(3), 1 + rng.nextInt(3), nLabels, nEdgeLabels, id = i)))
       val eMax = 4
       val en = new Enumerator(db, eMax)
       en.collectAll().filter(_.numEdges < eMax).foreach { n =>
-        val codes = scala.collection.mutable.LinkedHashSet.empty[Vector[CodeEdge]]
+        val exts = scala.collection.mutable.LinkedHashSet.empty[CodeEdge]
         n.embeddings.foreach { emb =>
           RightMost.foreachExtension(db.graphs(emb.graphIdx), n.rmPath, n.nVerts, emb.vmap, emb.eids) {
-            (ce, _, _) => codes += n.code :+ ce
+            (ce, _, _) => exts += ce
           }
         }
-        codes.foreach { c =>
+        exts.foreach { ce =>
+          val c = n.code :+ ce
           val expected = CanonicalCode.minCodeOf(DfsCode.toGraph(c)) == c
           assert(CanonicalCode.isMin(c) == expected, s"round $round: ${DfsCode.key(c)}")
+          assert(CanonicalCode.isMin(n.code, n.rmPath, ce.i, ce.j, ce.li, ce.le, ce.lj) == expected,
+            s"round $round, tuple entry: ${DfsCode.key(c)}")
+          if (!CanonicalCode.passesPreChecks(n.code, n.rmPath, ce.i, ce.j, ce.li, ce.le, ce.lj)) {
+            assert(!expected, s"round $round: pre-checks reject the minimal ${DfsCode.key(c)}")
+            preRejected += 1
+          }
           if (expected) accepted += 1 else rejected += 1
         }
       }
     }
     assert(accepted > 100 && rejected > 100, s"accepted $accepted, rejected $rejected")
+    assert(preRejected > 50 && preRejected < rejected, s"pre-checks rejected $preRejected of $rejected")
+  }
+
+  test("each pre-check rejects a non-minimal code; an equal label pair is kept") {
+    def rejectedByPreCheck(prefix: Vector[CodeEdge], ce: CodeEdge): Unit = {
+      val rm = DfsCode.rmPath(prefix)
+      val code = prefix :+ ce
+      assert(!CanonicalCode.passesPreChecks(prefix, rm, ce.i, ce.j, ce.li, ce.le, ce.lj), DfsCode.key(code))
+      assert(!CanonicalCode.isMin(prefix, rm, ce.i, ce.j, ce.li, ce.le, ce.lj), DfsCode.key(code))
+      assert(!CanonicalCode.isMin(code), DfsCode.key(code))
+      assert(CanonicalCode.minCodeOf(DfsCode.toGraph(code)) != code, DfsCode.key(code))
+    }
+    // R1: path 1-1-0; the new edge read from its label-0 end, (0, 0, 1), is
+    // below the first tuple's (1, 0, 1).
+    rejectedByPreCheck(Vector(CodeEdge(0, 1, 1, 0, 1)), CodeEdge(1, 2, 1, 0, 0))
+    // R2: pendant 0-1 on the triangle 1-2-3. The back edge 3 -> 1 has
+    // (le, l_3) = (1, 0), below (1, 1) of the right-most-path edge 1 -> 2:
+    // walking 1 -> 3 first is smaller. R1 passes: (0, 1, 0) > (0, 0, 0).
+    rejectedByPreCheck(Vector(CodeEdge(0, 1, 0, 0, 0), CodeEdge(1, 2, 0, 1, 1), CodeEdge(2, 3, 1, 0, 0)),
+      CodeEdge(3, 1, 0, 1, 0))
+    // R3: the forward edge 1 -> 3 has (le, l_3) = (1, 0), below (1, 1) of
+    // 1 -> 2 on the right-most path.
+    rejectedByPreCheck(Vector(CodeEdge(0, 1, 0, 0, 0), CodeEdge(1, 2, 0, 1, 1)), CodeEdge(1, 3, 0, 1, 0))
+
+    // Equal pair: the triangle's closing edge 2 -> 0 has (le, l_2) =
+    // (le1, l_1) of 0 -> 1. R2 must keep it; the code is the minimum.
+    val prefix = Vector(CodeEdge(0, 1, 0, 5, 0), CodeEdge(1, 2, 0, 5, 0))
+    val close = CodeEdge(2, 0, 0, 5, 0)
+    val rm = DfsCode.rmPath(prefix)
+    assert(CanonicalCode.passesPreChecks(prefix, rm, 2, 0, 0, 5, 0))
+    assert(CanonicalCode.isMin(prefix, rm, 2, 0, 0, 5, 0))
+    assert(CanonicalCode.minCodeOf(DfsCode.toGraph(prefix :+ close)) == prefix :+ close)
+
+    // An empty prefix is the 1-edge rule: smaller vertex label first.
+    assert(CanonicalCode.isMin(Vector.empty, Nil, 0, 1, 1, 0, 3))
+    assert(!CanonicalCode.isMin(Vector.empty, Nil, 0, 1, 3, 0, 1))
   }
 
   test("minCodeOf handles graphs with more than 64 edges and vertices") {
