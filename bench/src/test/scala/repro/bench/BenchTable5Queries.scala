@@ -1,6 +1,7 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.TestGraphs
 
 /** Table 5 — the five VQF queries per dataset, the ones Table 6
   * formulates. The paper draws PubChem compounds by CID with |E| in
@@ -18,7 +19,7 @@ class BenchTable5Queries extends AnyFunSuite {
       println(f"Q${i + 1}%-7s ${pq.numEdges}%12d ${aq.numEdges}%10d")
     }
     (pub ++ aids).foreach { q =>
-      assert(q.isConnected)
+      assert(TestGraphs.isConnected(q))
       // Paper band is [30, 62]; allow slight undershoot when a sampled
       // host's tail is smaller than the target (scaled datasets).
       assert(q.numEdges >= 25 && q.numEdges <= 62,

@@ -20,8 +20,9 @@ object Baselines {
     * of OPT; `select` solves max k-cover over the collected cover sets.
     */
   private def collectThenSelect(
-      db: GraphDb, minSupport: Int, eMax: Int, timeoutMillis: Long, method: String)(
-      select: IndexedSeq[Array[Int]] => (Seq[Int], Int)): RunResult = {
+      db: GraphDb, k: Int, minSupport: Int, eMax: Int, timeoutMillis: Long, method: String)(
+      select: (IndexedSeq[Array[Int]], Int) => (Seq[Int], Int)): RunResult = {
+    require(k >= 1, s"k must be at least 1, got $k")
     val t0 = System.nanoTime()
     val en = new Enumerator(db, eMax, minSupport, timeoutMillis)
     var collected: IndexedSeq[PatternNode] = IndexedSeq.empty
@@ -33,36 +34,41 @@ object Baselines {
       return RunResult(method, Nil, 0, db.totalEdges,
         (System.nanoTime() - t0) / 1000000L, collected.size.toLong, 0L, 0L, timedOut = true)
 
-    val (chosen, coverage) = select(collected.map(_.coverGlobal(db)))
+    val (chosen, coverage) = select(collected.map(_.coverGlobal(db)), k)
     RunResult(method, chosen.map(ci => Pattern.of(collected(ci), db)), coverage, db.totalEdges,
       (System.nanoTime() - t0) / 1000000L, collected.size.toLong, 0L, 0L, timedOut = false)
   }
 
   def allG(db: GraphDb, k: Int, eMax: Int, timeoutMillis: Long = Long.MaxValue): RunResult =
-    collectThenSelect(db, minSupport = 1, eMax, timeoutMillis, "ALL_g")(
-      MaxCover.greedy(_, k, db.totalEdges))
+    collectThenSelect(db, k, minSupport = 1, eMax, timeoutMillis, "ALL_g")(
+      MaxCover.greedy(_, _, db.totalEdges))
 
   def fsgG(db: GraphDb, k: Int, eMax: Int, supMin: Double,
            timeoutMillis: Long = Long.MaxValue): RunResult =
-    collectThenSelect(db, supportCount(db, supMin), eMax, timeoutMillis, "FSG_g")(
-      MaxCover.greedy(_, k, db.totalEdges))
+    collectThenSelect(db, k, supportCount(db, supMin), eMax, timeoutMillis, "FSG_g")(
+      MaxCover.greedy(_, _, db.totalEdges))
 
-  def fsgT(db: GraphDb, k: Int, eMax: Int, supMin: Double, alpha: Double = 1.0,
+  /** FSG_t: BASE over the frequent-only space with Swap_1 (alpha = 1).
+    * [[TedConfig]] checks `k`.
+    */
+  def fsgT(db: GraphDb, k: Int, eMax: Int, supMin: Double,
            timeoutMillis: Long = Long.MaxValue): RunResult =
     Ted.run(db,
-      TedConfig(k = k, eMax = eMax, alpha = alpha, usePrm = false, useIps = false,
+      TedConfig(k = k, eMax = eMax, usePrm = false, useIps = false,
         minSupport = supportCount(db, supMin), timeoutMillis = timeoutMillis),
       "FSG_t")
 
   /** sup_min in [0,1] -> absolute graph-count threshold (at least 1). */
-  def supportCount(db: GraphDb, supMin: Double): Int =
+  def supportCount(db: GraphDb, supMin: Double): Int = {
+    require(supMin >= 0.0 && supMin <= 1.0, s"supMin must lie in [0, 1], got $supMin")
     math.max(1, math.ceil(supMin * db.numGraphs).toInt)
+  }
 
   /** Exhaustive optimum over the full pattern space — the OPT reference;
     * only feasible on tiny databases (PubChem100/AIDS100-scale analogue).
     */
   def optimal(db: GraphDb, k: Int, eMax: Int): RunResult =
-    collectThenSelect(db, minSupport = 1, eMax, Long.MaxValue, "OPT")(MaxCover.optimal(_, k))
+    collectThenSelect(db, k, minSupport = 1, eMax, Long.MaxValue, "OPT")(MaxCover.optimal)
 
   /** Top-k frequent subgraphs of a frequent `pool` (the FS comparator of
     * Exps 6–7): highest support first, larger patterns breaking ties.

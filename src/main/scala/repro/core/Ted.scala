@@ -62,8 +62,9 @@ final case class RunResult(
   * @param k number of patterns, 1..64 (the PES-Index keeps one bit per slot).
   * @param alpha swapping threshold of Equation 1 — 1.0 = Swap_1 (default),
   *              0.0 = Swap_2, in between = Swap_alpha.
-  * @param minSupport >1 turns the enumeration into the frequent-only space
-  *                   (used to express FSG_t as TED-minus-optimizations).
+  * @param minSupport at least 1; >1 turns the enumeration into the
+  *                   frequent-only space (used to express FSG_t as
+  *                   TED-minus-optimizations).
   */
 final case class TedConfig(
     k: Int = 5,
@@ -80,6 +81,7 @@ final case class TedConfig(
   require(minEdges <= eMax,
     s"minEdges ($minEdges) exceeds eMax ($eMax): no pattern could be maintained")
   require(alpha >= 0.0 && alpha <= 1.0, s"alpha must lie in [0, 1], got $alpha")
+  require(minSupport >= 1, s"minSupport must be at least 1, got $minSupport")
 }
 
 /** The TED framework (Section 4): subgraph enumeration interleaved with
@@ -163,13 +165,12 @@ object Ted {
     }
 
     try {
-      if (cfg.useIps)
-        Ips.initialPatterns(en, db, cfg).foreach { n =>
-          if (!pes.isFull && !pes.contains(n.key)) {
-            pes.insert(n.code, n.key, n.coverGlobal(db))
-            ipsSeeded = true
-          }
-        }
+      if (cfg.useIps) {
+        // IPS returns at most k distinct keys, and the index is still empty.
+        val seeds = Ips.initialPatterns(en, db, cfg)
+        seeds.foreach(n => pes.insert(n.code, n.key, n.coverGlobal(db)))
+        ipsSeeded = seeds.nonEmpty
+      }
       en.roots.foreach(dfs)
     } catch {
       case _: TedTimeout => timedOut = true

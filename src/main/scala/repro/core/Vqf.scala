@@ -62,18 +62,22 @@ object Vqf {
       pickedEdges.toSeq.map(e => (vmap(g.src(e)), vmap(g.dst(e)), g.edgeLabel(e))))
   }
 
-  /** A query grown from a rare-atom region (vertex label >= `rareLabel`),
+  /** Vertex labels from this one up are rare atoms: S and the rarer ones
+    * of [[repro.data.MoleculeGen.DefaultAtomWeights]].
+    */
+  private val RareLabel = 3
+
+  /** A query grown from a rare-atom region (vertex label >= `RareLabel`),
     * standing in for the *infrequent* queries of Exp 7 / Figure 17: its
     * local structure is dominated by uncommon label combinations, so
     * frequent patterns place poorly on it.
     */
-  def sampleRareQuery(db: GraphDb, targetEdges: Int, rng: Random,
-                      rareLabel: Int = 3): LabeledGraph = {
+  def sampleRareQuery(db: GraphDb, targetEdges: Int, rng: Random): LabeledGraph = {
     val hosts = db.graphs.filter(g =>
-      g.numEdges >= targetEdges && g.vertexLabels.exists(_ >= rareLabel))
+      g.numEdges >= targetEdges && g.vertexLabels.exists(_ >= RareLabel))
     if (hosts.isEmpty) return sampleQuery(db, targetEdges, rng)
     val g = hosts(rng.nextInt(hosts.length))
-    val rareVerts = (0 until g.numVertices).filter(g.vertexLabel(_) >= rareLabel)
+    val rareVerts = (0 until g.numVertices).filter(g.vertexLabel(_) >= RareLabel)
     val start = rareVerts(rng.nextInt(rareVerts.length))
     growQuery(g, start, targetEdges, rng)
   }

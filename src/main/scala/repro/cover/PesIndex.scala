@@ -1,6 +1,5 @@
 package repro.cover
 
-import scala.collection.mutable
 import repro.graph.{CodeEdge, GraphDb}
 
 /** The Private-Edge-Set index of Section 4.2, holding the five components
@@ -172,24 +171,5 @@ final class PesIndex(val k: Int, val db: GraphDb) {
     val slots = patternSlots
     12L * totalCoverage + 4L * slots.map(slotCover(_).length.toLong).sum + 8L * k +
       12L * slots.map(pCov).distinct.size + 16L
-  }
-
-  /** Naive recomputation of every component — the test oracle for the
-    * incremental maintenance (never used on hot paths).
-    */
-  def naiveRecompute(): (Int, Map[Int, Int], Array[Int]) = {
-    val coveredBy = mutable.Map.empty[Int, Long]
-    patternSlots.foreach { s =>
-      slotCover(s).foreach(e => coveredBy(e) = coveredBy.getOrElse(e, 0L) | (1L << s))
-    }
-    val total = coveredBy.size
-    val priv = patternSlots.map { s =>
-      s -> coveredBy.count { case (_, m) => m == (1L << s) }
-    }.toMap
-    val unc = Array.tabulate(db.numGraphs) { gi =>
-      val lo = db.edgeOffset(gi); val hi = db.edgeOffset(gi + 1)
-      (lo until hi).count(e => !coveredBy.contains(e))
-    }
-    (total, priv, unc)
   }
 }

@@ -15,10 +15,9 @@ import repro.graph.{GraphDb, LabeledGraph}
   */
 object MoleculeGen {
 
-  val AtomAlphabet: Array[String] =
-    Array("C", "O", "N", "S", "P", "Cl", "F", "Br", "I", "Na")
-
-  /** Chemistry-flavoured atom frequencies (C-heavy, long tail). */
+  /** Chemistry-flavoured atom frequencies (C-heavy, long tail), by vertex
+    * label: C, O, N, S, P, Cl, F, Br, I, Na.
+    */
   val DefaultAtomWeights: Array[Double] =
     Array(0.62, 0.13, 0.11, 0.05, 0.03, 0.025, 0.02, 0.01, 0.005, 0.01)
 

@@ -184,6 +184,8 @@ final class Enumerator(
     val minSupport: Int = 1,
     timeoutMillis: Long = Long.MaxValue,
 ) {
+  require(eMax >= 1, s"eMax must be at least 1, got $eMax")
+  require(minSupport >= 1, s"minSupport must be at least 1, got $minSupport")
   private val startNanos = System.nanoTime()
   /** `startNanos + timeoutMillis` in ns, saturating at `Long.MaxValue`. */
   private val deadlineNanos: Long = {
@@ -197,7 +199,7 @@ final class Enumerator(
   private var kidBuf = new Array[PatternNode](16)
   private val handedOff = new java.util.IdentityHashMap[PatternNode, IndexedSeq[PatternNode]]
 
-  def checkDeadline(): Unit =
+  private def checkDeadline(): Unit =
     if (System.nanoTime() > deadlineNanos)
       throw new TedTimeout((System.nanoTime() - startNanos) / 1000000L)
 

@@ -35,15 +35,6 @@ object Experiments {
     timeoutMillis = 120000L,
   )
 
-  /** Tiny configuration exercising identical code paths in unit tests. */
-  val tiny: Scale = Scale(
-    aidsSmall = 30, aidsLarge = 60,
-    eMolSmall = 20, eMolLarge = 40,
-    pubSmall = 20, pubLarge = 40,
-    k = 3, eMax = 4, supMin = 0.2,
-    timeoutMillis = 60000L,
-  )
-
   // ------------------------------------------------------------------
   // Table 2 — dataset statistics.
   // ------------------------------------------------------------------
@@ -128,9 +119,10 @@ object Experiments {
     */
   def vqfSets(db: GraphDb, k: Int, eMax: Int, supMin: Double, minEdges: Int = 3,
               timeoutMillis: Long = Long.MaxValue): VqfSets = {
+    val minSupport = Baselines.supportCount(db, supMin)
     val ted = Ted.full(db, TedConfig(k = k, eMax = eMax, minEdges = minEdges,
       timeoutMillis = timeoutMillis)).patterns
-    val pool = new Enumerator(db, eMax, Baselines.supportCount(db, supMin)).collectAll()
+    val pool = new Enumerator(db, eMax, minSupport).collectAll()
       .filter(_.numEdges >= minEdges)
     VqfSets(ted, Baselines.topKFrequent(db, pool, k), Vqf.catapultProxy(db, pool, k, eMax))
   }
@@ -213,12 +205,12 @@ object Experiments {
   // ------------------------------------------------------------------
 
   def methodComparison(db: GraphDb, k: Int, eMax: Int, supMin: Double,
-                       timeoutMillis: Long, alpha: Double = 1.0): Seq[RunResult] = {
-    val cfg = TedConfig(k = k, eMax = eMax, alpha = alpha, timeoutMillis = timeoutMillis)
+                       timeoutMillis: Long): Seq[RunResult] = {
+    val cfg = TedConfig(k = k, eMax = eMax, timeoutMillis = timeoutMillis)
     Seq(
       Baselines.allG(db, k, eMax, timeoutMillis),
       Baselines.fsgG(db, k, eMax, supMin, timeoutMillis),
-      Baselines.fsgT(db, k, eMax, supMin, alpha, timeoutMillis),
+      Baselines.fsgT(db, k, eMax, supMin, timeoutMillis),
       Ted.base(db, cfg),
       Ted.prm(db, cfg),
       Ted.full(db, cfg),

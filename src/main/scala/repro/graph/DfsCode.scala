@@ -72,16 +72,6 @@ object DfsCode {
     LabeledGraph(-1L, vlabels.toSeq, code.map(e => (e.i, e.j, e.le)))
   }
 
-  /** Right-most path of the pattern, head = right-most vertex, last = root.
-    * Recomputed from scratch; callers on hot paths maintain it
-    * incrementally via [[extendRmPath]].
-    */
-  def rmPath(code: Seq[CodeEdge]): List[Int] = {
-    var path: List[Int] = List(1, 0)
-    code.drop(1).foreach { e => if (e.isForward) path = extendRmPath(path, e) }
-    path
-  }
-
   /** Incremental right-most-path update for a forward extension from
     * vertex `e.i`: drop everything deeper than `e.i`, push `e.j`.
     */

@@ -101,34 +101,6 @@ final class LabeledGraph(
     -1
   }
 
-  /** True iff every vertex is reachable from vertex 0 (and the graph is
-    * non-empty). Generators and codecs assert this.
-    */
-  def isConnected: Boolean = {
-    if (numVertices == 0) return false
-    val seen = new Array[Boolean](numVertices)
-    var stack = List(0)
-    seen(0) = true
-    var count = 1
-    while (stack.nonEmpty) {
-      val v = stack.head; stack = stack.tail
-      foreachNeighbor(v) { (w, _) =>
-        if (!seen(w)) { seen(w) = true; count += 1; stack = w :: stack }
-      }
-    }
-    count == numVertices
-  }
-
-  /** Multiset check used by tests: same labeled vertex/edge statistics. */
-  def labelSignature: (Seq[Int], Seq[(Int, Int, Int)]) = {
-    val vs = vertexLabels.toSeq.sorted
-    val es = (0 until numEdges).map { e =>
-      val lu = vertexLabels(src(e)); val lv = vertexLabels(dst(e))
-      (math.min(lu, lv), math.max(lu, lv), edgeLabels(e))
-    }.sorted
-    (vs, es)
-  }
-
   override def toString: String =
     s"LabeledGraph(id=$id, V=$numVertices, E=$numEdges)"
 }
@@ -143,8 +115,4 @@ object LabeledGraph {
       edges.map(_._2).toArray,
       edges.map(_._3).toArray,
     )
-
-  /** Edge-unlabeled convenience constructor (label 0 everywhere). */
-  def unlabeledEdges(id: Long, vlabels: Seq[Int], edges: Seq[(Int, Int)]): LabeledGraph =
-    apply(id, vlabels, edges.map { case (u, v) => (u, v, 0) })
 }

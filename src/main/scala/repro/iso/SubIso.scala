@@ -106,12 +106,6 @@ object SubIso {
     found
   }
 
-  def countEmbeddings(pattern: LabeledGraph, target: LabeledGraph): Long = {
-    var n = 0L
-    foreachEmbedding(pattern, target) { _ => n += 1; true }
-    n
-  }
-
   /** Cover set of `pattern` over `target` (Definition 2): the distinct
     * target edge ids imaged by any embedding, ascending.
     */

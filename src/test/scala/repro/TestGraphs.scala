@@ -39,6 +39,38 @@ object TestGraphs {
       (0 until g.numEdges).map(e => (perm(g.src(e)), perm(g.dst(e)), g.edgeLabel(e))))
   }
 
+  /** True iff `g` is non-empty and every vertex is reachable from vertex 0.
+    * The program asserts connectivity nowhere; the tests check with this
+    * that generated graphs, sampled queries and pattern graphs are
+    * connected.
+    */
+  def isConnected(g: LabeledGraph): Boolean = {
+    if (g.numVertices == 0) return false
+    val seen = new Array[Boolean](g.numVertices)
+    var stack = List(0)
+    seen(0) = true
+    var count = 1
+    while (stack.nonEmpty) {
+      val v = stack.head; stack = stack.tail
+      g.foreachNeighbor(v) { (w, _) =>
+        if (!seen(w)) { seen(w) = true; count += 1; stack = w :: stack }
+      }
+    }
+    count == g.numVertices
+  }
+
+  /** The sorted vertex labels and sorted (min label, max label, edge label)
+    * edge triples of `g`: equal for isomorphic graphs.
+    */
+  def labelSignature(g: LabeledGraph): (Seq[Int], Seq[(Int, Int, Int)]) = {
+    val vs = g.vertexLabels.toSeq.sorted
+    val es = (0 until g.numEdges).map { e =>
+      val lu = g.vertexLabels(g.src(e)); val lv = g.vertexLabels(g.dst(e))
+      (math.min(lu, lv), math.max(lu, lv), g.edgeLabels(e))
+    }.sorted
+    (vs, es)
+  }
+
   /** All connected subgraphs of `g` with 1..eMax edges, as canonical code
     * keys mapped to the set of edge ids covered across all their
     * occurrences *in g* (for cover-set cross-checks).

@@ -3,6 +3,7 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import repro.data.{MoleculeGen, SampleDb}
 import repro.enumeration.Enumerator
+import repro.exp.Experiments
 
 class BaselinesSpec extends AnyFunSuite {
 
@@ -51,6 +52,39 @@ class BaselinesSpec extends AnyFunSuite {
     assert(Baselines.supportCount(SampleDb.db, 0.5) == 2)
     assert(Baselines.supportCount(SampleDb.db, 0.3) == 2) // ceil(1.2)
     assert(Baselines.supportCount(SampleDb.db, 0.0) == 1)
+  }
+
+  test("supportCount rejects supMin outside [0, 1], and so does each method that takes supMin") {
+    val db = SampleDb.db
+    assert(Baselines.supportCount(db, 1.0) == db.numGraphs)
+    Seq(-0.5, 1.5, Double.NaN).foreach { s =>
+      Seq[(String, () => Any)](
+        "supportCount" -> (() => Baselines.supportCount(db, s)),
+        "fsgG" -> (() => Baselines.fsgG(db, k, eMax, s)),
+        "fsgT" -> (() => Baselines.fsgT(db, k, eMax, s)),
+        "formulate" -> (() => Vqf.formulate(SampleDb.g1, Nil, db, s)),
+        "vqfSets" -> (() => Experiments.vqfSets(db, k, eMax, s)),
+      ).foreach { case (name, run) =>
+        val e = intercept[IllegalArgumentException](run())
+        assert(e.getMessage.contains(s"supMin must lie in [0, 1], got $s"), s"$name at supMin $s")
+      }
+    }
+  }
+
+  test("ALL_g, FSG_g, FSG_t and OPT reject k < 1") {
+    val db = SampleDb.db
+    Seq(0, -1).foreach { bad =>
+      Seq[(String, () => RunResult)](
+        "allG" -> (() => Baselines.allG(db, bad, eMax)),
+        "fsgG" -> (() => Baselines.fsgG(db, bad, eMax, 0.5)),
+        "optimal" -> (() => Baselines.optimal(db, bad, eMax)),
+      ).foreach { case (name, run) =>
+        val e = intercept[IllegalArgumentException](run())
+        assert(e.getMessage.contains(s"k must be at least 1, got $bad"), s"$name at k $bad")
+      }
+      val e = intercept[IllegalArgumentException](Baselines.fsgT(db, bad, eMax, 0.5))
+      assert(e.getMessage.contains(s"k must lie in [1, 64], got $bad"), s"fsgT at k $bad")
+    }
   }
 
   test("timeout reports INF-style result") {

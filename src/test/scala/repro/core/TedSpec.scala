@@ -32,7 +32,7 @@ class TedSpec extends AnyFunSuite {
   test("TED patterns are connected and canonical") {
     val res = Ted.full(SampleDb.db, cfg)
     res.patterns.foreach { p =>
-      assert(p.graph.isConnected)
+      assert(TestGraphs.isConnected(p.graph))
       assert(repro.graph.CanonicalCode.isMin(p.code))
     }
   }
@@ -202,6 +202,13 @@ class TedSpec extends AnyFunSuite {
       assert(e.getMessage.contains("k must lie in [1, 64]"), s"k $k")
     }
     assert(TedConfig(k = 1).k == 1 && TedConfig(k = 64).k == 64)
+  }
+
+  test("config rejects minSupport < 1") {
+    Seq(0, -1).foreach { s =>
+      val e = intercept[IllegalArgumentException](cfg.copy(minSupport = s))
+      assert(e.getMessage.contains(s"minSupport must be at least 1, got $s"), s"minSupport $s")
+    }
   }
 
   test("run rejects alpha outside [0, 1] before enumerating") {

@@ -17,8 +17,27 @@ class PesIndexSpec extends AnyFunSuite {
 
   private def newIndex(k: Int = 3, db: GraphDb = SampleDb.db) = new PesIndex(k, db)
 
+  /** Naive recomputation of every component of `pes` from its live cover
+    * sets — the oracle for the incremental maintenance.
+    */
+  private def naiveRecompute(pes: PesIndex): (Int, Map[Int, Int], Array[Int]) = {
+    val coveredBy = mutable.Map.empty[Int, Long]
+    pes.patternSlots.foreach { s =>
+      pes.coverAt(s).foreach(e => coveredBy(e) = coveredBy.getOrElse(e, 0L) | (1L << s))
+    }
+    val total = coveredBy.size
+    val priv = pes.patternSlots.map { s =>
+      s -> coveredBy.count { case (_, m) => m == (1L << s) }
+    }.toMap
+    val unc = Array.tabulate(pes.db.numGraphs) { gi =>
+      val lo = pes.db.edgeOffset(gi); val hi = pes.db.edgeOffset(gi + 1)
+      (lo until hi).count(e => !coveredBy.contains(e))
+    }
+    (total, priv, unc)
+  }
+
   private def assertConsistent(pes: PesIndex): Unit = {
-    val (total, priv, unc) = pes.naiveRecompute()
+    val (total, priv, unc) = naiveRecompute(pes)
     assert(pes.totalCoverage == total, "totalCoverage drifted")
     priv.foreach { case (slot, v) =>
       assert(pes.privateCoverage(slot) == v, s"pCov($slot) drifted")

@@ -11,23 +11,27 @@ object SampleDb {
 
   val C = 0; val O = 1; val S = 2; val N = 3
 
+  /** A graph whose edges all carry label 0. */
+  private def unlabeledEdges(id: Long, vlabels: Seq[Int], edges: Seq[(Int, Int)]): LabeledGraph =
+    LabeledGraph(id, vlabels, edges.map { case (u, v) => (u, v, 0) })
+
   /** G1: a C6 ring with two O substituents — benzene-with-oxygens feel. */
-  val g1: LabeledGraph = LabeledGraph.unlabeledEdges(1,
+  val g1: LabeledGraph = unlabeledEdges(1,
     Seq(C, C, C, C, C, C, O, O),
     Seq((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 6), (3, 7)))
 
   /** G2: a C5 chain with an O branch — shares the C-C / C-O edges of G1. */
-  val g2: LabeledGraph = LabeledGraph.unlabeledEdges(2,
+  val g2: LabeledGraph = unlabeledEdges(2,
     Seq(C, C, C, C, C, O),
     Seq((0, 1), (1, 2), (2, 3), (3, 4), (2, 5)))
 
   /** G3: an N-centred star with C arms plus a C-C tail. */
-  val g3: LabeledGraph = LabeledGraph.unlabeledEdges(3,
+  val g3: LabeledGraph = unlabeledEdges(3,
     Seq(N, C, C, C, C),
     Seq((0, 1), (0, 2), (0, 3), (3, 4)))
 
   /** G4: an S-O chain repeated — its edges appear in no other graph. */
-  val g4: LabeledGraph = LabeledGraph.unlabeledEdges(4,
+  val g4: LabeledGraph = unlabeledEdges(4,
     Seq(S, O, S, O, S),
     Seq((0, 1), (1, 2), (2, 3), (3, 4)))
 
@@ -40,12 +44,12 @@ object SampleDb {
   val db10: GraphDb = {
     def ring(id: Long, labels: Seq[Int]): LabeledGraph = {
       val n = labels.length
-      LabeledGraph.unlabeledEdges(id, labels, (0 until n).map(i => (i, (i + 1) % n)))
+      unlabeledEdges(id, labels, (0 until n).map(i => (i, (i + 1) % n)))
     }
     def chain(id: Long, labels: Seq[Int]): LabeledGraph =
-      LabeledGraph.unlabeledEdges(id, labels, (0 until labels.length - 1).map(i => (i, i + 1)))
+      unlabeledEdges(id, labels, (0 until labels.length - 1).map(i => (i, i + 1)))
     def star(id: Long, centre: Int, arms: Seq[Int]): LabeledGraph =
-      LabeledGraph.unlabeledEdges(id, centre +: arms, arms.indices.map(i => (0, i + 1)))
+      unlabeledEdges(id, centre +: arms, arms.indices.map(i => (0, i + 1)))
 
     new GraphDb(IndexedSeq(
       ring(1, Seq(C, C, C, C, C, C)),

@@ -4,7 +4,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import scala.collection.mutable
 import scala.util.Random
 import repro.TestGraphs
-import repro.core.{Ips, TedConfig}
+import repro.core.{Baselines, Ips, TedConfig}
 import repro.data.{MoleculeGen, SampleDb}
 import repro.graph.{CodeEdge, GraphDb, LabeledGraph, RightMost}
 
@@ -38,6 +38,22 @@ class EnumeratorSpec extends AnyFunSuite {
     }
     en.roots.foreach(go)
     keys.toSeq
+  }
+
+  test("the enumerator rejects eMax < 1, so ALL_g does too") {
+    Seq(0, -1).foreach { eMax =>
+      val e = intercept[IllegalArgumentException](new Enumerator(SampleDb.db, eMax))
+      assert(e.getMessage.contains(s"eMax must be at least 1, got $eMax"), s"eMax $eMax")
+    }
+    val e = intercept[IllegalArgumentException](Baselines.allG(SampleDb.db, 3, eMax = 0))
+    assert(e.getMessage.contains("eMax must be at least 1, got 0"))
+  }
+
+  test("the enumerator rejects minSupport < 1") {
+    Seq(0, -1).foreach { s =>
+      val e = intercept[IllegalArgumentException](new Enumerator(SampleDb.db, 3, s))
+      assert(e.getMessage.contains(s"minSupport must be at least 1, got $s"), s"minSupport $s")
+    }
   }
 
   test("roots are the distinct labeled edges") {
@@ -127,7 +143,7 @@ class EnumeratorSpec extends AnyFunSuite {
   }
 
   test("pattern graphs are connected") {
-    assert(enumerate(SampleDb.db, 3).forall(_.graph.isConnected))
+    assert(enumerate(SampleDb.db, 3).forall(n => TestGraphs.isConnected(n.graph)))
   }
 
   test("every enumerated code is canonical") {

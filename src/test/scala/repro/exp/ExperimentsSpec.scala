@@ -9,7 +9,13 @@ import repro.data.MoleculeGen
   */
 class ExperimentsSpec extends SparkSpec {
 
-  private val tiny = Experiments.tiny
+  private val tiny = Experiments.Scale(
+    aidsSmall = 30, aidsLarge = 60,
+    eMolSmall = 20, eMolLarge = 40,
+    pubSmall = 20, pubLarge = 40,
+    k = 3, eMax = 4, supMin = 0.2,
+    timeoutMillis = 60000L,
+  )
 
   test("table2 reports one row per dataset with sane stats") {
     val rows = Experiments.table2(spark, tiny)

@@ -18,6 +18,17 @@ class CanonicalCodeSpec extends AnyFunSuite {
 
   private def key(g: LabeledGraph): String = DfsCode.key(CanonicalCode.minCodeOf(g))
 
+  /** Right-most path of `code`, head = right-most vertex, last = root: the
+    * highest-numbered vertex walked up the forward edges' DFS tree. The
+    * reference for the incremental [[DfsCode.extendRmPath]].
+    */
+  private def rmPath(code: Seq[CodeEdge]): List[Int] = {
+    val parent = code.filter(_.isForward).map(e => e.j -> e.i).toMap
+    var path = List(DfsCode.numVertices(code) - 1)
+    while (path.head != 0) path = parent(path.head) :: path
+    path.reverse
+  }
+
   test("single edge: canonical orientation puts the smaller label first") {
     val g = LabeledGraph(0, Seq(5, 2), Seq((0, 1, 9)))
     assert(CanonicalCode.minCodeOf(g) == Vector(CodeEdge(0, 1, 2, 9, 5)))
@@ -63,7 +74,7 @@ class CanonicalCodeSpec extends AnyFunSuite {
     (1 to 20).foreach { _ =>
       val g = TestGraphs.randomConnected(rng, 6, 2, 3, 2)
       val rebuilt = DfsCode.toGraph(CanonicalCode.minCodeOf(g))
-      assert(rebuilt.labelSignature == g.labelSignature)
+      assert(TestGraphs.labelSignature(rebuilt) == TestGraphs.labelSignature(g))
       assert(repro.iso.SubIso.exists(rebuilt, g) && repro.iso.SubIso.exists(g, rebuilt))
     }
   }
@@ -221,7 +232,7 @@ class CanonicalCodeSpec extends AnyFunSuite {
 
   test("each pre-check rejects a non-minimal code; an equal label pair is kept") {
     def rejectedByPreCheck(prefix: Vector[CodeEdge], ce: CodeEdge): Unit = {
-      val rm = DfsCode.rmPath(prefix)
+      val rm = rmPath(prefix)
       val code = prefix :+ ce
       assert(!CanonicalCode.passesPreChecks(prefix, rm, ce.i, ce.j, ce.li, ce.le, ce.lj), DfsCode.key(code))
       assert(!CanonicalCode.isMin(prefix, rm, ce.i, ce.j, ce.li, ce.le, ce.lj), DfsCode.key(code))
@@ -244,7 +255,7 @@ class CanonicalCodeSpec extends AnyFunSuite {
     // (le1, l_1) of 0 -> 1. R2 must keep it; the code is the minimum.
     val prefix = Vector(CodeEdge(0, 1, 0, 5, 0), CodeEdge(1, 2, 0, 5, 0))
     val close = CodeEdge(2, 0, 0, 5, 0)
-    val rm = DfsCode.rmPath(prefix)
+    val rm = rmPath(prefix)
     assert(CanonicalCode.passesPreChecks(prefix, rm, 2, 0, 0, 5, 0))
     assert(CanonicalCode.isMin(prefix, rm, 2, 0, 0, 5, 0))
     assert(CanonicalCode.minCodeOf(DfsCode.toGraph(prefix :+ close)) == prefix :+ close)
@@ -270,7 +281,7 @@ class CanonicalCodeSpec extends AnyFunSuite {
       val code = CanonicalCode.minCodeOf(g)
       assert(code.length == g.numEdges)
       assert(CanonicalCode.isMin(code))
-      assert(DfsCode.toGraph(code).labelSignature == g.labelSignature)
+      assert(TestGraphs.labelSignature(DfsCode.toGraph(code)) == TestGraphs.labelSignature(g))
       assert(code == CanonicalCode.minCodeOf(TestGraphs.permuted(g, rng)))
     }
   }
@@ -289,7 +300,7 @@ class CanonicalCodeSpec extends AnyFunSuite {
       val code = CanonicalCode.minCodeOf(TestGraphs.randomConnected(rng, 6, 2, 2))
       var inc: List[Int] = List(1, 0)
       code.drop(1).foreach(e => if (e.isForward) inc = DfsCode.extendRmPath(inc, e))
-      assert(inc == DfsCode.rmPath(code))
+      assert(inc == rmPath(code))
     }
   }
 

@@ -14,27 +14,33 @@ class SubIsoSpec extends AnyFunSuite {
   private def ring(labels: Int*): LabeledGraph =
     LabeledGraph(0, labels, labels.indices.map(i => (i, (i + 1) % labels.length, 0)))
 
+  private def countEmbeddings(pattern: LabeledGraph, target: LabeledGraph): Long = {
+    var n = 0L
+    SubIso.foreachEmbedding(pattern, target) { _ => n += 1; true }
+    n
+  }
+
   test("single edge into a triangle: 6 embeddings (both orientations)") {
     val e = path(0, 0)
     val t = ring(0, 0, 0)
-    assert(SubIso.countEmbeddings(e, t) == 6)
+    assert(countEmbeddings(e, t) == 6)
   }
 
   test("a path of 3 vertices into a triangle: 6 embeddings") {
-    assert(SubIso.countEmbeddings(path(0, 0, 0), ring(0, 0, 0)) == 6)
+    assert(countEmbeddings(path(0, 0, 0), ring(0, 0, 0)) == 6)
   }
 
   test("labels constrain embeddings") {
     val e = path(0, 1)
     val t = LabeledGraph(0, Seq(0, 1, 1), Seq((0, 1, 0), (0, 2, 0)))
-    assert(SubIso.countEmbeddings(e, t) == 2)
-    assert(SubIso.countEmbeddings(path(1, 1), t) == 0)
+    assert(countEmbeddings(e, t) == 2)
+    assert(countEmbeddings(path(1, 1), t) == 0)
   }
 
   test("edge labels constrain embeddings") {
     val single = LabeledGraph(0, Seq(0, 0), Seq((0, 1, 1)))
     val t = LabeledGraph(0, Seq(0, 0, 0), Seq((0, 1, 1), (1, 2, 2)))
-    assert(SubIso.countEmbeddings(single, t) == 2)
+    assert(countEmbeddings(single, t) == 2)
   }
 
   test("triangle does not embed into a path") {
@@ -105,8 +111,8 @@ class SubIsoSpec extends AnyFunSuite {
     (1 to 10).foreach { _ =>
       val target = TestGraphs.randomConnected(rng, 7, 3, 2)
       val pattern = TestGraphs.randomConnected(rng, 3, 0, 2)
-      val n1 = SubIso.countEmbeddings(pattern, target)
-      val n2 = SubIso.countEmbeddings(pattern, TestGraphs.permuted(target, rng))
+      val n1 = countEmbeddings(pattern, target)
+      val n2 = countEmbeddings(pattern, TestGraphs.permuted(target, rng))
       assert(n1 == n2)
     }
   }
@@ -119,6 +125,6 @@ class SubIsoSpec extends AnyFunSuite {
 
   test("automorphic pattern counts embeddings with multiplicity") {
     // path 0-0 in a single-edge graph: two orientations.
-    assert(SubIso.countEmbeddings(path(0, 0), path(0, 0)) == 2)
+    assert(countEmbeddings(path(0, 0), path(0, 0)) == 2)
   }
 }
