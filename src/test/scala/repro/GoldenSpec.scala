@@ -2,13 +2,18 @@ package repro
 
 import org.scalatest.funsuite.AnyFunSuite
 import scala.io.Source
-import repro.core.{Baselines, RunResult, Ted, TedConfig}
-import repro.data.MoleculeGen
+import repro.core.{Baselines, Pattern, RunResult, Ted, TedConfig}
+import repro.cover.MaxCover
+import repro.data.{MoleculeGen, SampleDb}
+import repro.exp.Experiments
 
 /** Golden outputs: (preset, size, method) -> coverage, `enumerated` and
-  * the sorted pattern keys, for TED, PRM, BASE and FSG_g on small
-  * AIDS/eMol/PubChem-like databases. A speed-up must leave every line
-  * unchanged. Only when results are meant to change, regenerate: run
+  * the sorted pattern keys, for TED, PRM, BASE, FSG_g, ALL_g, FSG_t and TED
+  * at MinE = 3 on small AIDS/eMol/PubChem-like databases; for the FS and
+  * CATAPULT sets of `Experiments.vqfSets` on the same databases (the
+  * coverage of the set's union, `-` for `enumerated`); and for OPT on the
+  * sample database. A speed-up must leave every line unchanged. Only when
+  * results are meant to change, regenerate: run
   * `sbt "Test/runMain repro.Golden"` and copy the lines it prints, without
   * sbt's `[info] ` prefix, to `src/test/resources/golden.txt`.
   */
@@ -24,21 +29,33 @@ object Golden {
     "PRM" -> (db => Ted.prm(db, TedConfig(k = k, eMax = eMax))),
     "BASE" -> (db => Ted.base(db, TedConfig(k = k, eMax = eMax))),
     "FSG_g" -> (db => Baselines.fsgG(db, k, eMax, supMin)),
+    "ALL_g" -> (db => Baselines.allG(db, k, eMax)),
+    "FSG_t" -> (db => Baselines.fsgT(db, k, eMax, supMin)),
+    "TED_MinE3" -> (db => Ted.full(db, TedConfig(k = k, eMax = eMax, minEdges = 3))),
   )
 
-  /** One line per (preset, size, method):
-    * `preset size method coverage enumerated key...` with sorted keys.
-    */
-  def lines(): Seq[String] =
-    for {
+  private def line(preset: String, n: Int, name: String, r: RunResult): String =
+    line(preset, n, name, r.coverage.toString, r.enumerated.toString, r.patterns)
+
+  /** `preset size method coverage enumerated key...` with sorted keys. */
+  private def line(preset: String, n: Int, name: String, coverage: String, enumerated: String,
+                   patterns: Seq[Pattern]): String =
+    (Seq(preset, n.toString, name, coverage, enumerated) ++ patterns.map(_.key).sorted).mkString(" ")
+
+  /** One line per (preset, size, method), then the VQF sets, then OPT. */
+  def lines(): Seq[String] = {
+    val perCase = for {
       (preset, n) <- cases
       db = MoleculeGen.db(MoleculeGen.preset(preset, n))
-      (name, run) <- methods
-    } yield {
-      val r = run(db)
-      (Seq(preset, n.toString, name, r.coverage.toString, r.enumerated.toString) ++
-        r.patterns.map(_.key).sorted).mkString(" ")
-    }
+      l <- methods.map { case (name, run) => line(preset, n, name, run(db)) } ++ {
+        val sets = Experiments.vqfSets(db, k, eMax, supMin)
+        Seq("FS" -> sets.fs, "CAT" -> sets.catapult).map { case (name, ps) =>
+          line(preset, n, name, MaxCover.coverageOf(ps.map(_.cover)).toString, "-", ps)
+        }
+      }
+    } yield l
+    perCase :+ line("sample", SampleDb.db.numGraphs, "OPT", Baselines.optimal(SampleDb.db, 3, 3))
+  }
 
   def main(args: Array[String]): Unit = lines().foreach(println)
 }
