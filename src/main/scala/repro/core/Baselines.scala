@@ -1,7 +1,8 @@
 package repro.core
 
+import scala.collection.mutable
 import repro.cover.MaxCover
-import repro.enumeration.{Enumerator, PatternNode, TedTimeout}
+import repro.enumeration.{Enumerator, TedTimeout}
 import repro.graph.GraphDb
 
 /** The four baseline solutions of Sections 3 and 7.1:
@@ -18,25 +19,20 @@ object Baselines {
 
   /** Shared enumerate-collect-then-select path of Algorithms 1 and 2 and
     * of OPT; `select` solves max k-cover over the collected cover sets.
+    * A timed-out run selects nothing and reports the pool size it reached.
     */
   private def collectThenSelect(
       db: GraphDb, k: Int, minSupport: Int, eMax: Int, timeoutMillis: Long, method: String)(
       select: (IndexedSeq[Array[Int]], Int) => (Seq[Int], Int)): RunResult = {
     require(k >= 1, s"k must be at least 1, got $k")
     val t0 = System.nanoTime()
-    val en = new Enumerator(db, eMax, minSupport, timeoutMillis)
-    var collected: IndexedSeq[PatternNode] = IndexedSeq.empty
-    var timedOut = false
-    try collected = en.collectAll()
-    catch { case _: TedTimeout => timedOut = true }
-
-    if (timedOut)
-      return RunResult(method, Nil, 0, db.totalEdges,
-        (System.nanoTime() - t0) / 1000000L, collected.size.toLong, 0L, 0L, timedOut = true)
-
-    val (chosen, coverage) = select(collected.map(_.coverGlobal(db)), k)
-    RunResult(method, chosen.map(ci => Pattern.of(collected(ci), db)), coverage, db.totalEdges,
-      (System.nanoTime() - t0) / 1000000L, collected.size.toLong, 0L, 0L, timedOut = false)
+    val pool = mutable.ArrayBuffer.empty[Pattern]
+    val timedOut =
+      try { new Enumerator(db, eMax, minSupport, timeoutMillis).walk(n => pool += Pattern.of(n, db)); false }
+      catch { case _: TedTimeout => true }
+    val (chosen, coverage) = if (timedOut) (Nil, 0) else select(pool.map(_.cover).toIndexedSeq, k)
+    RunResult(method, chosen.map(pool), coverage, db.totalEdges,
+      (System.nanoTime() - t0) / 1000000L, pool.size.toLong, 0L, 0L, timedOut)
   }
 
   def allG(db: GraphDb, k: Int, eMax: Int, timeoutMillis: Long = Long.MaxValue): RunResult =
@@ -73,8 +69,6 @@ object Baselines {
   /** Top-k frequent subgraphs of a frequent `pool` (the FS comparator of
     * Exps 6–7): highest support first, larger patterns breaking ties.
     */
-  def topKFrequent(db: GraphDb, pool: Seq[PatternNode], k: Int): Seq[Pattern] =
-    pool.sortBy(n => (-n.support, -n.numEdges, n.key))
-      .take(k)
-      .map(Pattern.of(_, db))
+  def topKFrequent(pool: Seq[Pattern], k: Int): Seq[Pattern] =
+    pool.map(p => ((-p.support, -p.numEdges, p.key), p)).sortBy(_._1).take(k).map(_._2)
 }

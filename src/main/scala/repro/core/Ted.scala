@@ -101,7 +101,6 @@ object Ted {
     val en = new Enumerator(db, cfg.eMax, cfg.minSupport, cfg.timeoutMillis)
     val pes = new PesIndex(cfg.k, db)
     var enumerated = 0L
-    var timedOut = false
     var ipsSeeded = false
 
     def maintain(node: PatternNode): Unit = {
@@ -155,26 +154,16 @@ object Ted {
       ub > threshold
     }
 
-    def dfs(node: PatternNode): Unit = {
-      maintain(node)
-      if (node.numEdges < cfg.eMax) {
-        var kids = en.children(node)
-        if (cfg.usePrm) kids = kids.filter(prmKeep(node, _))
-        kids.foreach(dfs)
-      }
-    }
-
-    try {
+    val timedOut = try {
       if (cfg.useIps) {
         // IPS returns at most k distinct keys, and the index is still empty.
         val seeds = Ips.initialPatterns(en, db, cfg)
         seeds.foreach(n => pes.insert(n.code, n.key, n.coverGlobal(db)))
         ipsSeeded = seeds.nonEmpty
       }
-      en.roots.foreach(dfs)
-    } catch {
-      case _: TedTimeout => timedOut = true
-    }
+      en.walk(maintain, Option.when(cfg.usePrm)(prmKeep))
+      false
+    } catch { case _: TedTimeout => true }
 
     val patterns = pes.patternSlots.map(s => Pattern.of(pes.codeAt(s), pes.coverAt(s), db.edgeOffset))
     RunResult(method, patterns, pes.totalCoverage, db.totalEdges,
@@ -198,7 +187,7 @@ object Ted {
 /** Initial Pattern Selection (Section 5.2): benefit-greedy hill climbing
   * from every 1-edge root, then the k climbed patterns with maximum
   * coverage and at least MinE edges become the initial pattern set. The
-  * enumerator keeps every children list the climbs compute, so the DFS
+  * enumerator keeps every children list the climbs compute, so the walk
   * that follows takes them instead of expanding those nodes again.
   */
 object Ips {

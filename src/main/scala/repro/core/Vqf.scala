@@ -3,7 +3,6 @@ package repro.core
 import java.util.BitSet
 import scala.collection.mutable
 import scala.util.Random
-import repro.enumeration.PatternNode
 import repro.graph.{CanonicalCode, DfsCode, GraphDb, LabeledGraph}
 import repro.iso.SubIso
 
@@ -85,6 +84,9 @@ object Vqf {
   /** Queries in the paper's size band [30, 62] (Table 5). */
   def sampleQueries(db: GraphDb, n: Int, minE: Int = 30, maxE: Int = 62,
                     seed: Long = 17): Seq[LabeledGraph] = {
+    require(n >= 1, s"n must be at least 1, got $n")
+    require(minE >= 1, s"minE must be at least 1, got $minE")
+    require(minE <= maxE, s"minE ($minE) exceeds maxE ($maxE)")
     val rng = new Random(seed)
     (1 to n).map { _ =>
       val target = minE + rng.nextInt(maxE - minE + 1)
@@ -134,10 +136,11 @@ object Vqf {
     * `eMax` edges, greedily pick k mid-sized patterns maximizing
     * *graph-level* marginal coverage with a redundancy penalty for patterns
     * contained in an already-chosen one — frequent-ish and graph-diverse,
-    * but not edge-coverage-driven.
+    * but not edge-coverage-driven. A pattern's graphs are its cover's.
     */
-  def catapultProxy(db: GraphDb, pool: IndexedSeq[PatternNode], k: Int, eMax: Int): Seq[Pattern] = {
-    val chosen = mutable.ArrayBuffer.empty[PatternNode]
+  def catapultProxy(db: GraphDb, pool: IndexedSeq[Pattern], k: Int, eMax: Int): Seq[Pattern] = {
+    val graphIds = pool.map(_.cover.map(db.graphOfEdge).distinct)
+    val chosen = mutable.ArrayBuffer.empty[Pattern]
     val coveredGraphs = new BitSet(db.numGraphs)
     val remaining = new BitSet(pool.length)
     remaining.set(0, pool.length)
@@ -147,7 +150,7 @@ object Vqf {
       var i = remaining.nextSetBit(0)
       while (i >= 0) {
         val p = pool(i)
-        val marginal = p.graphIds.count(g => !coveredGraphs.get(g))
+        val marginal = graphIds(i).count(g => !coveredGraphs.get(g))
         val sizeBonus = -math.abs(p.numEdges - (eMax / 2.0)) // prefer mid-size
         val redundant = chosen.exists(c =>
           SubIso.exists(p.graph, c.graph) || SubIso.exists(c.graph, p.graph))
@@ -156,10 +159,10 @@ object Vqf {
         i = remaining.nextSetBit(i + 1)
       }
       chosen += pool(best)
-      pool(best).graphIds.foreach(coveredGraphs.set)
+      graphIds(best).foreach(coveredGraphs.set)
       remaining.clear(best)
     }
-    chosen.toSeq.map(Pattern.of(_, db))
+    chosen.toSeq
   }
 
   /** Synthetic "biological importance" repository (DESIGN.md §4): a

@@ -1,7 +1,6 @@
 package repro.enumeration
 
 import scala.collection.immutable.ArraySeq
-import scala.collection.mutable
 import repro.graph._
 
 /** One embedding of a pattern into database graph `graphIdx`:
@@ -31,7 +30,7 @@ final class PatternNode private[enumeration] (
     private var ext: Array[Int],
 ) {
 
-  def this(code: Vector[CodeEdge], rmPath: List[Int], nVerts: Int, embeddings: Array[Emb]) = {
+  private[enumeration] def this(code: Vector[CodeEdge], rmPath: List[Int], nVerts: Int, embeddings: Array[Emb]) = {
     this(code, rmPath, nVerts, embeddings, null, null)
     require((1 until embeddings.length).forall(i => embeddings(i - 1).graphIdx <= embeddings(i).graphIdx),
       "embeddings must be ordered by graphIdx")
@@ -40,8 +39,6 @@ final class PatternNode private[enumeration] (
   def numEdges: Int = code.length
 
   lazy val key: String = DfsCode.key(code)
-
-  lazy val graph: LabeledGraph = DfsCode.toGraph(code)
 
   /** The embeddings, built from the parent's on first use. */
   def embeddings: Array[Emb] = {
@@ -241,7 +238,7 @@ final class Enumerator(
 
   /** `children(p)`, also kept for the next `children` call on the same
     * node object, which returns this list and releases it. IPS expands
-    * the roots and the nodes it climbs through with this, so the DFS that
+    * the roots and the nodes it climbs through with this, so the walk that
     * follows reuses those lists and the covers cached on them.
     */
   private[repro] def childrenKept(p: PatternNode): IndexedSeq[PatternNode] = {
@@ -295,18 +292,23 @@ final class Enumerator(
     ArraySeq.unsafeWrapArray(out)
   }
 
-  /** Every pattern of the (support-pruned) search space up to `eMax`
-    * edges, in depth-first order (the memory-hungry baseline path).
+  /** The depth-first walk of the search space that every method runs:
+    * `visit` a node; below `eMax` edges, test all its children with
+    * `keep(node, child)`, then walk those kept. No node outlives its
+    * subtree unless `visit` keeps it. `children` checks the deadline.
     */
-  def collectAll(): IndexedSeq[PatternNode] = {
-    val buf = mutable.ArrayBuffer.empty[PatternNode]
-    def visit(node: PatternNode): Unit = {
-      checkDeadline()
-      buf += node
-      if (node.numEdges < eMax) children(node).foreach(visit)
+  def walk(visit: PatternNode => Unit,
+           keep: Option[(PatternNode, PatternNode) => Boolean] = None): Unit =
+    roots.foreach(walkFrom(_, visit, keep))
+
+  private def walkFrom(node: PatternNode, visit: PatternNode => Unit,
+                       keep: Option[(PatternNode, PatternNode) => Boolean]): Unit = {
+    visit(node)
+    if (node.numEdges < eMax) {
+      val kids = if (keep.isEmpty) children(node) else children(node).filter(keep.get(node, _))
+      var i = 0
+      while (i < kids.length) { walkFrom(kids(i), visit, keep); i += 1 }
     }
-    roots.foreach(visit)
-    buf.toIndexedSeq
   }
 }
 

@@ -122,9 +122,10 @@ object Experiments {
     val minSupport = Baselines.supportCount(db, supMin)
     val ted = Ted.full(db, TedConfig(k = k, eMax = eMax, minEdges = minEdges,
       timeoutMillis = timeoutMillis)).patterns
-    val pool = new Enumerator(db, eMax, minSupport).collectAll()
-      .filter(_.numEdges >= minEdges)
-    VqfSets(ted, Baselines.topKFrequent(db, pool, k), Vqf.catapultProxy(db, pool, k, eMax))
+    val pool = Vector.newBuilder[Pattern]
+    new Enumerator(db, eMax, minSupport).walk(n => if (n.numEdges >= minEdges) pool += Pattern.of(n, db))
+    val frequent = pool.result()
+    VqfSets(ted, Baselines.topKFrequent(frequent, k), Vqf.catapultProxy(db, frequent, k, eMax))
   }
 
   /** The paper's Table-6 "Yes" marker flags usage of a sup_min < 0.2
@@ -167,7 +168,11 @@ object Experiments {
   final case class RrRow(rho: Double, stepsFs: Int, stepsTed: Int, rr: Double)
 
   def fig17(db: GraphDb, sets: VqfSets, rhos: Seq[Double], nQueries: Int = 40,
-            minQE: Int = 8, maxQE: Int = 16, seed: Long = 23): Seq[RrRow] =
+            minQE: Int = 8, maxQE: Int = 16, seed: Long = 23): Seq[RrRow] = {
+    require(nQueries >= 1, s"nQueries must be at least 1, got $nQueries")
+    require(minQE >= 1, s"minQE must be at least 1, got $minQE")
+    require(minQE <= maxQE, s"minQE ($minQE) exceeds maxQE ($maxQE)")
+    rhos.foreach(rho => require(rho >= 0.0 && rho <= 1.0, s"rho must lie in [0, 1], got $rho"))
     rhos.map { rho =>
       val rng = new scala.util.Random(seed)
       val nRare = math.round(rho * nQueries).toInt
@@ -180,6 +185,7 @@ object Experiments {
       val stepsTed = queries.map(q => Vqf.formulate(q, sets.ted, db, markerSupMin).steps).sum
       RrRow(rho, stepsFs, stepsTed, Vqf.reductionRatio(stepsFs, stepsTed))
     }
+  }
 
   // ------------------------------------------------------------------
   // Table 7 — patterns with "biological importance".

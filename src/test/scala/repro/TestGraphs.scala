@@ -2,6 +2,7 @@ package repro
 
 import scala.collection.mutable
 import scala.util.Random
+import repro.enumeration.{Enumerator, PatternNode}
 import repro.graph.{CanonicalCode, DfsCode, GraphDb, LabeledGraph}
 import repro.iso.SubIso
 
@@ -142,4 +143,11 @@ object TestGraphs {
   }
 
   def db(graphs: LabeledGraph*): GraphDb = new GraphDb(graphs.toIndexedSeq)
+
+  /** Every node of `en`'s search space, in walk order. */
+  def nodes(en: Enumerator): IndexedSeq[PatternNode] = {
+    val buf = mutable.ArrayBuffer.empty[PatternNode]
+    en.walk(buf += _)
+    buf.toIndexedSeq
+  }
 }

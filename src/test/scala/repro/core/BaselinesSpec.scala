@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.TestGraphs
 import repro.data.{MoleculeGen, SampleDb}
 import repro.enumeration.Enumerator
 import repro.exp.Experiments
@@ -93,11 +94,20 @@ class BaselinesSpec extends AnyFunSuite {
     assert(res.timedOut)
   }
 
+  test("a timed-out ALL_g or FSG_g reports the patterns it enumerated") {
+    val db = MoleculeGen.db(MoleculeGen.aidsLike(20))
+    Seq(Baselines.allG(db, 3, 10, timeoutMillis = 1), Baselines.fsgG(db, 3, 10, 0.0, timeoutMillis = 1)).foreach { r =>
+      assert(r.timedOut, r.method)
+      assert(r.enumerated >= 1, r.method)
+      assert(r.patterns.isEmpty && r.coverage == 0, r.method)
+    }
+  }
+
   test("topKFrequent is ordered by support and excludes single edges") {
     val db = SampleDb.db
-    val pool = new Enumerator(db, eMax, Baselines.supportCount(db, 0.3)).collectAll()
-      .filter(_.numEdges >= 2)
-    val fs = Baselines.topKFrequent(db, pool, 5)
+    val pool = TestGraphs.nodes(new Enumerator(db, eMax, Baselines.supportCount(db, 0.3)))
+      .filter(_.numEdges >= 2).map(Pattern.of(_, db))
+    val fs = Baselines.topKFrequent(pool, 5)
     assert(fs.size == math.min(5, pool.size) && fs.nonEmpty)
     assert(fs.forall(_.numEdges >= 2))
     assert(fs.map(_.support) == fs.map(_.support).sorted.reverse)
@@ -123,7 +133,7 @@ class BaselinesSpec extends AnyFunSuite {
     val allg = Baselines.allG(SampleDb.db10, k, eMax)
     // Random selection proxy: the k lexicographically-first patterns.
     val en = new Enumerator(SampleDb.db10, eMax)
-    val firstK = en.collectAll().take(k)
+    val firstK = TestGraphs.nodes(en).take(k)
     val randomCoverage = firstK.flatMap(_.coverGlobal(SampleDb.db10)).toSet.size
     assert(allg.coverage >= randomCoverage)
   }

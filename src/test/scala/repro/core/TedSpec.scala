@@ -173,7 +173,7 @@ class TedSpec extends AnyFunSuite {
   test("BASE maintains each pattern of the search space once") {
     val db = SampleDb.db10
     val res = Ted.base(db, cfg)
-    assert(res.enumerated == new repro.enumeration.Enumerator(db, cfg.eMax).collectAll().size)
+    assert(res.enumerated == TestGraphs.nodes(new repro.enumeration.Enumerator(db, cfg.eMax)).size)
   }
 
   test("an IPS seed re-reached by the DFS is not maintained twice") {

@@ -78,6 +78,21 @@ class VqfSpec extends AnyFunSuite {
     }
   }
 
+  test("sampleQueries rejects n < 1") {
+    val e = intercept[IllegalArgumentException](Vqf.sampleQueries(db, 0, minE = 8, maxE = 12))
+    assert(e.getMessage.contains("n must be at least 1, got 0"))
+  }
+
+  test("sampleQueries rejects minE < 1") {
+    val e = intercept[IllegalArgumentException](Vqf.sampleQueries(db, 5, minE = 0, maxE = 12))
+    assert(e.getMessage.contains("minE must be at least 1, got 0"))
+  }
+
+  test("sampleQueries rejects minE > maxE") {
+    val e = intercept[IllegalArgumentException](Vqf.sampleQueries(db, 5, minE = 12, maxE = 8))
+    assert(e.getMessage.contains("minE (12) exceeds maxE (8)"))
+  }
+
   test("reduction ratio formula") {
     assert(Vqf.reductionRatio(10, 5) == 0.5)
     assert(Vqf.reductionRatio(10, 12) == -0.2)
@@ -86,7 +101,8 @@ class VqfSpec extends AnyFunSuite {
 
   test("catapult proxy returns k frequent-pool patterns") {
     val threshold = Baselines.supportCount(SampleDb.db, 0.5)
-    val pool = new Enumerator(SampleDb.db, 3, threshold).collectAll().filter(_.numEdges >= 2)
+    val pool = TestGraphs.nodes(new Enumerator(SampleDb.db, 3, threshold))
+      .filter(_.numEdges >= 2).map(Pattern.of(_, SampleDb.db))
     val cat = Vqf.catapultProxy(SampleDb.db, pool, 3, 3)
     assert(cat.size == math.min(3, pool.size) && cat.nonEmpty)
     cat.foreach(p => assert(p.support >= threshold))

@@ -6,14 +6,12 @@ import scala.util.Random
 import repro.TestGraphs
 import repro.core.{Baselines, Ips, TedConfig}
 import repro.data.{MoleculeGen, SampleDb}
-import repro.graph.{CodeEdge, GraphDb, LabeledGraph, RightMost}
+import repro.graph.{CodeEdge, DfsCode, GraphDb, LabeledGraph, RightMost}
 
 class EnumeratorSpec extends AnyFunSuite {
 
-  private def enumerate(db: GraphDb, eMax: Int, minSupport: Int = 1): Seq[PatternNode] = {
-    val en = new Enumerator(db, eMax, minSupport)
-    en.collectAll()
-  }
+  private def enumerate(db: GraphDb, eMax: Int, minSupport: Int = 1): Seq[PatternNode] =
+    TestGraphs.nodes(new Enumerator(db, eMax, minSupport))
 
   /** The children of `p` built eagerly from its embeddings with
     * `RightMost.foreachExtension`: extension -> embeddings, in order.
@@ -29,7 +27,9 @@ class EnumeratorSpec extends AnyFunSuite {
     byExt.toMap.map { case (ce, embs) => ce -> embs.toSeq }
   }
 
-  /** Depth-first walk in `collectAll` order, calling `f(parent, child)`. */
+  /** Depth-first pre-order walk, calling `f(parent, child)`: a reference
+    * for the order of `Enumerator.walk`, written without it.
+    */
   private def walk(en: Enumerator)(f: (PatternNode, PatternNode) => Unit): Seq[String] = {
     val keys = mutable.ArrayBuffer.empty[String]
     def go(p: PatternNode): Unit = {
@@ -38,6 +38,36 @@ class EnumeratorSpec extends AnyFunSuite {
     }
     en.roots.foreach(go)
     keys.toSeq
+  }
+
+  test("walk tests every sibling with keep before descending, and skips the subtrees keep rejects") {
+    // A filter that rejects about a third of the children, by key.
+    val keep: (PatternNode, PatternNode) => Boolean = (_, c) => Math.floorMod(c.key.hashCode, 3) != 0
+    var rejected = 0
+    TestGraphs.randomDbs(14).foreach { db =>
+      // Reference: visit, test all children, then descend into those kept.
+      val expected = mutable.ArrayBuffer.empty[String]
+      val ref = new Enumerator(db, 4)
+      def go(p: PatternNode): Unit = {
+        expected += s"visit ${p.key}"
+        if (p.numEdges < ref.eMax) ref.children(p).filter { c =>
+          expected += s"keep ${p.key} ${c.key}"
+          val kept = keep(p, c)
+          if (!kept) rejected += 1
+          kept
+        }.foreach(go)
+      }
+      ref.roots.foreach(go)
+      val got = mutable.ArrayBuffer.empty[String]
+      new Enumerator(db, 4).walk(n => got += s"visit ${n.key}",
+        Some((p, c) => { got += s"keep ${p.key} ${c.key}"; keep(p, c) }))
+      assert(got == expected)
+      // A filter that keeps everything walks what no filter walks.
+      val all = mutable.ArrayBuffer.empty[String]
+      new Enumerator(db, 4).walk(n => all += n.key, Some((_, _) => true))
+      assert(all.toSeq == enumerate(db, 4).map(_.key))
+    }
+    assert(rejected > 0)
   }
 
   test("the enumerator rejects eMax < 1, so ALL_g does too") {
@@ -104,7 +134,7 @@ class EnumeratorSpec extends AnyFunSuite {
   test("cover sets agree with the independent SubIso path") {
     val db = SampleDb.db
     enumerate(db, 3).foreach { node =>
-      val viaIso = TestGraphs.coverViaSubIso(node.graph, db)
+      val viaIso = TestGraphs.coverViaSubIso(DfsCode.toGraph(node.code), db)
       assert(node.coverGlobal(db).toSet == viaIso, s"pattern ${node.key}")
     }
   }
@@ -114,7 +144,7 @@ class EnumeratorSpec extends AnyFunSuite {
     val bySupport = enumerate(db, 1).map(n => n.key -> n.support).toMap
     // C-C edges appear in G1 (ring), G2 (chain) and G3 (tail) — not G4.
     val ccKey = enumerate(db, 1).find(n =>
-      n.graph.vertexLabels.toSeq == Seq(SampleDb.C, SampleDb.C)).get.key
+      DfsCode.toGraph(n.code).vertexLabels.toSeq == Seq(SampleDb.C, SampleDb.C)).get.key
     assert(bySupport(ccKey) == 3)
   }
 
@@ -143,7 +173,7 @@ class EnumeratorSpec extends AnyFunSuite {
   }
 
   test("pattern graphs are connected") {
-    assert(enumerate(SampleDb.db, 3).forall(n => TestGraphs.isConnected(n.graph)))
+    assert(enumerate(SampleDb.db, 3).forall(n => TestGraphs.isConnected(DfsCode.toGraph(n.code))))
   }
 
   test("every enumerated code is canonical") {
@@ -155,11 +185,12 @@ class EnumeratorSpec extends AnyFunSuite {
   test("embeddings are valid") {
     val db = SampleDb.db
     enumerate(db, 3).foreach { n =>
+      val pg = DfsCode.toGraph(n.code)
       n.embeddings.foreach { emb =>
         val g = db.graphs(emb.graphIdx)
         assert(emb.vmap.distinct.length == emb.vmap.length)
         (0 until n.numEdges).foreach { e =>
-          val te = g.edgeBetween(emb.vmap(n.graph.src(e)), emb.vmap(n.graph.dst(e)))
+          val te = g.edgeBetween(emb.vmap(pg.src(e)), emb.vmap(pg.dst(e)))
           assert(te == emb.eids(e))
         }
       }
@@ -361,13 +392,13 @@ class EnumeratorSpec extends AnyFunSuite {
     val db = new GraphDb(graphs)
     val en = new Enumerator(db, 10, 1, timeoutMillis = 10)
     intercept[TedTimeout] {
-      en.collectAll()
+      en.walk(_ => ())
     }
   }
 
   test("a timeout beyond the nanosecond range saturates to no deadline") {
     Seq(Long.MaxValue, Long.MaxValue / 1000, Long.MaxValue / 1000000L).foreach { ms =>
-      assert(new Enumerator(SampleDb.db, 3, 1, ms).collectAll().nonEmpty, s"timeout $ms ms")
+      assert(TestGraphs.nodes(new Enumerator(SampleDb.db, 3, 1, ms)).nonEmpty, s"timeout $ms ms")
     }
   }
 

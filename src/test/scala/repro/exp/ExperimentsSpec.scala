@@ -78,6 +78,40 @@ class ExperimentsSpec extends SparkSpec {
     }
   }
 
+  test("fig17 gives one row per rho, in order, with RR from its steps, the same for the same seed") {
+    val rhos = Seq(0.5, 0.0, 1.0, 0.25)
+    def run() = Experiments.fig17(vqfDb, vqfSets, rhos, nQueries = 8, minQE = 4, maxQE = 8, seed = 5)
+    val rows = run()
+    assert(rows.map(_.rho) == rhos)
+    rows.foreach { r =>
+      assert(r.stepsFs >= 8 && r.stepsTed >= 8, r)
+      assert(r.rr == Vqf.reductionRatio(r.stepsFs, r.stepsTed), r)
+    }
+    assert(run() == rows)
+  }
+
+  test("fig17 rejects nQueries < 1") {
+    val e = intercept[IllegalArgumentException](Experiments.fig17(vqfDb, vqfSets, Seq(0.5), nQueries = 0))
+    assert(e.getMessage.contains("nQueries must be at least 1, got 0"))
+  }
+
+  test("fig17 rejects minQE < 1") {
+    val e = intercept[IllegalArgumentException](Experiments.fig17(vqfDb, vqfSets, Seq(0.5), minQE = 0))
+    assert(e.getMessage.contains("minQE must be at least 1, got 0"))
+  }
+
+  test("fig17 rejects minQE > maxQE") {
+    val e = intercept[IllegalArgumentException](Experiments.fig17(vqfDb, vqfSets, Seq(0.5), minQE = 9, maxQE = 8))
+    assert(e.getMessage.contains("minQE (9) exceeds maxQE (8)"))
+  }
+
+  test("fig17 rejects a rho outside [0, 1]") {
+    Seq(-0.1, 1.5, Double.NaN).foreach { rho =>
+      val e = intercept[IllegalArgumentException](Experiments.fig17(vqfDb, vqfSets, Seq(0.5, rho)))
+      assert(e.getMessage.contains(s"rho must lie in [0, 1], got $rho"), s"rho $rho")
+    }
+  }
+
   test("table7 reports importance counts within bounds") {
     val repoDb = MoleculeGen.db(MoleculeGen.fragmentRepo(100, seed = 31))
     val repo = Vqf.exactRepository(repoDb)

@@ -205,7 +205,7 @@ class CanonicalCodeSpec extends AnyFunSuite {
         TestGraphs.randomConnected(rng, 6 + rng.nextInt(3), 1 + rng.nextInt(3), nLabels, nEdgeLabels, id = i)))
       val eMax = 4
       val en = new Enumerator(db, eMax)
-      en.collectAll().filter(_.numEdges < eMax).foreach { n =>
+      TestGraphs.nodes(en).filter(_.numEdges < eMax).foreach { n =>
         val exts = scala.collection.mutable.LinkedHashSet.empty[CodeEdge]
         n.embeddings.foreach { emb =>
           RightMost.foreachExtension(db.graphs(emb.graphIdx), n.rmPath, n.nVerts, emb.vmap, emb.eids) {
