@@ -30,7 +30,7 @@ object Baselines {
     val timedOut =
       try { new Enumerator(db, eMax, minSupport, timeoutMillis).walk(n => pool += Pattern.of(n, db)); false }
       catch { case _: TedTimeout => true }
-    val (chosen, coverage) = if (timedOut) (Nil, 0) else select(pool.map(_.cover).toIndexedSeq, k)
+    val (chosen, coverage) = if (timedOut) (Nil, 0) else select(pool.view.map(_.cover).toIndexedSeq, k)
     RunResult(method, chosen.map(pool), coverage, db.totalEdges,
       (System.nanoTime() - t0) / 1000000L, pool.size.toLong, 0L, 0L, timedOut)
   }

@@ -43,19 +43,15 @@ object Golden {
     (Seq(preset, n.toString, name, coverage, enumerated) ++ patterns.map(_.key).sorted).mkString(" ")
 
   /** One line per (preset, size, method), then the VQF sets, then OPT. */
-  def lines(): Seq[String] = {
-    val perCase = for {
-      (preset, n) <- cases
-      db = MoleculeGen.db(MoleculeGen.preset(preset, n))
-      l <- methods.map { case (name, run) => line(preset, n, name, run(db)) } ++ {
-        val sets = Experiments.vqfSets(db, k, eMax, supMin)
+  def lines(): Seq[String] =
+    cases.flatMap { case (preset, n) =>
+      val db = MoleculeGen.db(MoleculeGen.preset(preset, n))
+      val sets = Experiments.vqfSets(db, k, eMax, supMin)
+      methods.map { case (name, run) => line(preset, n, name, run(db)) } ++
         Seq("FS" -> sets.fs, "CAT" -> sets.catapult).map { case (name, ps) =>
           line(preset, n, name, MaxCover.coverageOf(ps.map(_.cover)).toString, "-", ps)
         }
-      }
-    } yield l
-    perCase :+ line("sample", SampleDb.db.numGraphs, "OPT", Baselines.optimal(SampleDb.db, 3, 3))
-  }
+    } :+ line("sample", SampleDb.db.numGraphs, "OPT", Baselines.optimal(SampleDb.db, 3, 3))
 
   def main(args: Array[String]): Unit = lines().foreach(println)
 }
