@@ -1,18 +1,21 @@
 package repro
 
-import org.scalatest.funsuite.AnyFunSuite
+import org.apache.spark.sql.SparkSession
 import scala.io.Source
 import repro.core.{Baselines, Pattern, RunResult, Ted, TedConfig}
 import repro.cover.MaxCover
 import repro.data.{MoleculeGen, SampleDb}
+import repro.dist.{DistTed, GraphFrames}
 import repro.exp.Experiments
 
 /** Golden outputs: (preset, size, method) -> coverage, `enumerated` and
   * the sorted pattern keys, for TED, PRM, BASE, FSG_g, ALL_g, FSG_t and TED
   * at MinE = 3 on small AIDS/eMol/PubChem-like databases; for the FS and
   * CATAPULT sets of `Experiments.vqfSets` on the same databases (the
-  * coverage of the set's union, `-` for `enumerated`); and for OPT on the
-  * sample database. A speed-up must leave every line unchanged. Only when
+  * coverage of the set's union, `-` for `enumerated`); for `DistTed.run`
+  * over the same graphs generated as a Spark dataset in 4 partitions
+  * (`enumerated` = its candidate pool); and for OPT on the sample
+  * database. A speed-up must leave every line unchanged. Only when
   * results are meant to change, regenerate: run
   * `sbt "Test/runMain repro.Golden"` and copy the lines it prints, without
   * sbt's `[info] ` prefix, to `src/test/resources/golden.txt`.
@@ -42,26 +45,32 @@ object Golden {
                    patterns: Seq[Pattern]): String =
     (Seq(preset, n.toString, name, coverage, enumerated) ++ patterns.map(_.key).sorted).mkString(" ")
 
-  /** One line per (preset, size, method), then the VQF sets, then OPT. */
-  def lines(): Seq[String] =
+  /** One line per (preset, size, method), then the VQF sets and DistTed,
+    * then OPT.
+    */
+  def lines(spark: SparkSession): Seq[String] =
     cases.flatMap { case (preset, n) =>
-      val db = MoleculeGen.db(MoleculeGen.preset(preset, n))
+      val params = MoleculeGen.preset(preset, n)
+      val db = MoleculeGen.db(params)
       val sets = Experiments.vqfSets(db, k, eMax, supMin)
+      val dist = DistTed.run(spark, GraphFrames.generateDS(spark, params, partitions = 4),
+        TedConfig(k = k, eMax = eMax)).result
       methods.map { case (name, run) => line(preset, n, name, run(db)) } ++
         Seq("FS" -> sets.fs, "CAT" -> sets.catapult).map { case (name, ps) =>
           line(preset, n, name, MaxCover.coverageOf(ps.map(_.cover)).toString, "-", ps)
-        }
+        } :+ line(preset, n, "DistTed", dist)
     } :+ line("sample", SampleDb.db.numGraphs, "OPT", Baselines.optimal(SampleDb.db, 3, 3))
 
-  def main(args: Array[String]): Unit = lines().foreach(println)
+  def main(args: Array[String]): Unit =
+    try lines(SparkSpec.shared).foreach(println) finally SparkSpec.shared.stop()
 }
 
-class GoldenSpec extends AnyFunSuite {
+class GoldenSpec extends SparkSpec {
 
   test("results equal the golden file") {
     val src = Source.fromResource("golden.txt")
     val expected = try src.getLines().filter(_.nonEmpty).toVector finally src.close()
-    val got = Golden.lines()
+    val got = Golden.lines(spark)
     assert(got.length == expected.length)
     got.zip(expected).foreach { case (g, e) => assert(g == e) }
   }
