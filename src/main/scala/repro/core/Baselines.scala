@@ -1,6 +1,5 @@
 package repro.core
 
-import scala.collection.mutable
 import repro.cover.MaxCover
 import repro.enumeration.{Enumerator, TedTimeout}
 import repro.graph.GraphDb
@@ -26,13 +25,26 @@ object Baselines {
       select: (IndexedSeq[Array[Int]], Int) => (Seq[Int], Int)): RunResult = {
     require(k >= 1, s"k must be at least 1, got $k")
     val t0 = System.nanoTime()
-    val pool = mutable.ArrayBuffer.empty[Pattern]
-    val timedOut =
-      try { new Enumerator(db, eMax, minSupport, timeoutMillis).walk(n => pool += Pattern.of(n, db)); false }
-      catch { case _: TedTimeout => true }
-    val (chosen, coverage) = if (timedOut) (Nil, 0) else select(pool.view.map(_.cover).toIndexedSeq, k)
+    val (pool, timedOut) = collect(db, eMax, minSupport, timeoutMillis)
+    val (chosen, coverage) = if (timedOut) (Nil, 0) else select(pool.map(_.cover), k)
     RunResult(method, chosen.map(pool), coverage, db.totalEdges,
       (System.nanoTime() - t0) / 1000000L, pool.size.toLong, 0L, 0L, timedOut)
+  }
+
+  /** Walks the search space, support-pruned at `minSupport`, into a pool of
+    * `Pattern`s of at least `minEdges` edges; true with the pool if
+    * `timeoutMillis` hit first, which then holds the patterns found in time.
+    */
+  private[repro] def collect(db: GraphDb, eMax: Int, minSupport: Int, timeoutMillis: Long,
+                             minEdges: Int = 1): (IndexedSeq[Pattern], Boolean) = {
+    val pool = Vector.newBuilder[Pattern]
+    val timedOut =
+      try {
+        new Enumerator(db, eMax, minSupport, timeoutMillis)
+          .walk(n => if (n.numEdges >= minEdges) pool += Pattern.of(n, db))
+        false
+      } catch { case _: TedTimeout => true }
+    (pool.result(), timedOut)
   }
 
   def allG(db: GraphDb, k: Int, eMax: Int, timeoutMillis: Long = Long.MaxValue): RunResult =

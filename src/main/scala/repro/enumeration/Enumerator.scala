@@ -38,6 +38,11 @@ final class PatternNode private[enumeration] (
 
   def numEdges: Int = code.length
 
+  /** The children list `Enumerator.childrenKept` computed for this node,
+    * until `Enumerator.children` takes it.
+    */
+  private[enumeration] var kept: IndexedSeq[PatternNode] = _
+
   lazy val key: String = DfsCode.key(code)
 
   /** The embeddings, built from the parent's on first use. */
@@ -166,8 +171,7 @@ final class TedTimeout(val elapsedMillis: Long) extends RuntimeException(s"deadl
 /** Database-wide subgraph enumeration by right-most extension with
   * canonical-code duplicate pruning — the substrate of ALL_g/ALL_t (gSpan
   * without support pruning) and FSG_g/FSG_t (with `minSupport`). Not
-  * thread-safe: `children` reuses one extension table and takes the lists
-  * `childrenKept` left.
+  * thread-safe: `children` reuses one extension table.
   *
   * @param minSupport minimum number of distinct graphs containing a
   *                   pattern (1 = enumerate everything); anti-monotone,
@@ -194,7 +198,6 @@ final class Enumerator(
   // The children `children` keeps, before the exact-sized copy it returns;
   // cleared after the copy, so that it holds no node alive.
   private var kidBuf = new Array[PatternNode](16)
-  private val handedOff = new java.util.IdentityHashMap[PatternNode, IndexedSeq[PatternNode]]
 
   private def checkDeadline(): Unit =
     if (System.nanoTime() > deadlineNanos)
@@ -236,14 +239,14 @@ final class Enumerator(
     }.filter(_.support >= minSupport).toIndexedSeq
   }
 
-  /** `children(p)`, also kept for the next `children` call on the same
-    * node object, which returns this list and releases it. IPS expands
-    * the roots and the nodes it climbs through with this, so the walk that
-    * follows reuses those lists and the covers cached on them.
+  /** `children(p)`, also kept on `p` for the next `children` call on the
+    * same node object, which returns this list and releases it. IPS
+    * expands the roots and the nodes it climbs through with this, so the
+    * walk that follows reuses those lists and the covers cached on them.
     */
   private[repro] def childrenKept(p: PatternNode): IndexedSeq[PatternNode] = {
     val kids = children(p)
-    handedOff.put(p, kids)
+    p.kept = kids
     kids
   }
 
@@ -257,10 +260,8 @@ final class Enumerator(
     */
   def children(p: PatternNode): IndexedSeq[PatternNode] = {
     checkDeadline()
-    if (!handedOff.isEmpty) {
-      val kept = handedOff.remove(p)
-      if (kept != null) return kept
-    }
+    val kept = p.kept
+    if (kept != null) { p.kept = null; return kept }
     val embs = p.embeddings
     val t = table
     t.clear()

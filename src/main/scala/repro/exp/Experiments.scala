@@ -4,7 +4,6 @@ import org.apache.spark.sql.SparkSession
 import repro.core._
 import repro.data.MoleculeGen
 import repro.dist.{DistTed, GraphFrames}
-import repro.enumeration.Enumerator
 import repro.graph.{GraphDb, LabeledGraph}
 
 /** Shared harness behind the bench suites, one per evaluation table. All
@@ -107,25 +106,29 @@ object Experiments {
   // pattern sets that Table 7 and Figure 17 also read.
   // ------------------------------------------------------------------
 
-  /** The three pattern sets compared by Tables 5–7 and Figure 17. */
-  final case class VqfSets(ted: Seq[Pattern], fs: Seq[Pattern], catapult: Seq[Pattern])
+  /** The three pattern sets compared by Tables 5–7 and Figure 17.
+    * `timedOut`: the TED run or the frequent walk hit the deadline, and the
+    * sets hold what was found in time.
+    */
+  final case class VqfSets(ted: Seq[Pattern], fs: Seq[Pattern], catapult: Seq[Pattern], timedOut: Boolean)
 
   /** Mines the VQF pattern sets of `db` once: one TED run, and one frequent
     * enumeration whose pool both FS and the CATAPULT proxy select from.
     * `minEdges` is the MinE pattern budget of the TED Explorer (Section
     * 6.2): VQF pattern sets carry a minimum pattern size so that a drag
     * places a multi-edge fragment, exactly as canned-pattern systems do.
-    * Applied to all three sets for fairness.
+    * Applied to all three sets for fairness. `timeoutMillis` bounds the
+    * whole call: the walk gets what the TED run left of it.
     */
   def vqfSets(db: GraphDb, k: Int, eMax: Int, supMin: Double, minEdges: Int = 3,
               timeoutMillis: Long = Long.MaxValue): VqfSets = {
+    val t0 = System.nanoTime()
     val minSupport = Baselines.supportCount(db, supMin)
-    val ted = Ted.full(db, TedConfig(k = k, eMax = eMax, minEdges = minEdges,
-      timeoutMillis = timeoutMillis)).patterns
-    val pool = Vector.newBuilder[Pattern]
-    new Enumerator(db, eMax, minSupport).walk(n => if (n.numEdges >= minEdges) pool += Pattern.of(n, db))
-    val frequent = pool.result()
-    VqfSets(ted, Baselines.topKFrequent(frequent, k), Vqf.catapultProxy(db, frequent, k, eMax))
+    val ted = Ted.full(db, TedConfig(k = k, eMax = eMax, minEdges = minEdges, timeoutMillis = timeoutMillis))
+    val left = timeoutMillis - (System.nanoTime() - t0) / 1000000L
+    val (frequent, walkTimedOut) = Baselines.collect(db, eMax, minSupport, left, minEdges)
+    VqfSets(ted.patterns, Baselines.topKFrequent(frequent, k), Vqf.catapultProxy(db, frequent, k, eMax),
+      ted.timedOut || walkTimedOut)
   }
 
   /** The paper's Table-6 "Yes" marker flags usage of a sup_min < 0.2

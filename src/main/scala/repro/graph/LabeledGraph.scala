@@ -35,7 +35,6 @@ final class LabeledGraph(
   private[graph] val adjVert: Array[Int]  = new Array[Int](numEdges * 2)
   private[graph] val adjEdge: Array[Int]  = new Array[Int](numEdges * 2)
   locally {
-    val deg = new Array[Int](numVertices)
     var e = 0
     while (e < numEdges) {
       val u = src(e); val w = dst(e)
@@ -43,35 +42,17 @@ final class LabeledGraph(
         throw new IllegalArgumentException(
           s"edge $e ($u, $w) of graph $id has an endpoint outside [0, $numVertices)")
       if (u == w) throw new IllegalArgumentException(s"self loop at edge $e of graph $id")
-      deg(u) += 1; deg(w) += 1
       e += 1
     }
-    var v = 0
-    while (v < numVertices) { adjStart(v + 1) = adjStart(v) + deg(v); v += 1 }
-    val fill = java.util.Arrays.copyOf(adjStart, numVertices)
+    LabeledGraph.fillAdjacency(numVertices, numEdges, src, dst, adjStart, adjVert, adjEdge)
+    // No parallel edges: each edge is the first between its endpoints.
     e = 0
     while (e < numEdges) {
-      val u = src(e); val w = dst(e)
-      adjVert(fill(u)) = w; adjEdge(fill(u)) = e; fill(u) += 1
-      adjVert(fill(w)) = u; adjEdge(fill(w)) = e; fill(w) += 1
+      val u = math.min(src(e), dst(e)); val w = math.max(src(e), dst(e))
+      val first = edgeBetween(u, w)
+      if (first != e)
+        throw new IllegalArgumentException(s"parallel edges $first and $e between vertices $u and $w of graph $id")
       e += 1
-    }
-    // No parallel edges: each vertex meets a neighbor once. `deg` and
-    // `fill` are reused as the vertex last met from and the edge it was met
-    // by.
-    java.util.Arrays.fill(deg, -1)
-    v = 0
-    while (v < numVertices) {
-      var a = adjStart(v)
-      while (a < adjStart(v + 1)) {
-        val w = adjVert(a)
-        if (deg(w) == v)
-          throw new IllegalArgumentException(
-            s"parallel edges ${fill(w)} and ${adjEdge(a)} between vertices $v and $w of graph $id")
-        deg(w) = v; fill(w) = adjEdge(a)
-        a += 1
-      }
-      v += 1
     }
   }
 
@@ -106,6 +87,33 @@ final class LabeledGraph(
 }
 
 object LabeledGraph {
+  /** Fill the CSR adjacency of `n` vertices and the `m` edges
+    * `src(e)-dst(e)`: vertex v's incident (neighbor, edge) pairs go to
+    * positions `adjStart(v)` until `adjStart(v + 1)` of `adjV`/`adjE`, in
+    * ascending edge id, the order right-most extension and the canonical
+    * kernel list candidates in. The arrays hold at least `n + 1` and
+    * `2 * m` ints; nothing is allocated.
+    */
+  private[graph] def fillAdjacency(n: Int, m: Int, src: Array[Int], dst: Array[Int],
+                                   adjStart: Array[Int], adjV: Array[Int], adjE: Array[Int]): Unit = {
+    java.util.Arrays.fill(adjStart, 0, n + 1, 0)
+    var e = 0
+    while (e < m) { adjStart(src(e) + 1) += 1; adjStart(dst(e) + 1) += 1; e += 1 }
+    var v = 0
+    while (v < n) { adjStart(v + 1) += adjStart(v); v += 1 }
+    e = 0
+    while (e < m) {
+      // adjStart(v) is the fill cursor of v here, restored below.
+      val u = src(e); val w = dst(e)
+      adjV(adjStart(u)) = w; adjE(adjStart(u)) = e; adjStart(u) += 1
+      adjV(adjStart(w)) = u; adjE(adjStart(w)) = e; adjStart(w) += 1
+      e += 1
+    }
+    v = n
+    while (v > 0) { adjStart(v) = adjStart(v - 1); v -= 1 }
+    adjStart(0) = 0
+  }
+
   /** Convenience constructor from (u, v, edgeLabel) triples. */
   def apply(id: Long, vlabels: Seq[Int], edges: Seq[(Int, Int, Int)]): LabeledGraph =
     new LabeledGraph(

@@ -112,23 +112,27 @@ object CanonicalCode {
   }
 
   /** gSpan duplicate-pruning test: is `code` its pattern's canonical form?
-    * Runs the min-code construction against `code` and stops at the first
-    * extension smaller than the code's own tuple. A code that is no valid
-    * DFS code of its pattern (unlabeled or inconsistently labeled vertex,
-    * self loop, tuple no right-most extension) is not minimal.
+    * The tuple entry below on `code.last`, with the right-most path of
+    * `code.init` folded from its forward edges. A code that is no valid DFS
+    * code of its pattern (unlabeled or inconsistently labeled vertex, self
+    * loop, tuple no right-most extension) is not minimal.
     */
-  def isMin(code: Vector[CodeEdge]): Boolean =
-    if (code.length == 1) code(0).li <= code(0).lj
-    else {
-      val k = kernel.get
-      k.load(code) && k.run(check = true)
+  def isMin(code: Vector[CodeEdge]): Boolean = {
+    val prefix = code.init
+    val rmPath = prefix.drop(1).foldLeft(List(1, 0)) { (rm, ce) =>
+      if (ce.isForward) DfsCode.extendRmPath(rm, ce) else rm
     }
+    val ce = code.last
+    isMin(prefix, rmPath, ce.i, ce.j, ce.li, ce.le, ce.lj)
+  }
 
   /** `isMin(prefix :+ CodeEdge(i, j, li, le, lj))`, with the extension as
     * unpacked `Int`s and `rmPath` the prefix's right-most path (head =
     * right-most vertex). Before the kernel runs, gSpan's necessary
     * conditions ([[passesPreChecks]]) reject many non-minimal codes
-    * without loading it.
+    * without loading it. The kernel then runs the min-code construction
+    * against the code and stops at the first extension smaller than the
+    * code's own tuple.
     */
   def isMin(prefix: Vector[CodeEdge], rmPath: List[Int], i: Int, j: Int, li: Int, le: Int, lj: Int): Boolean =
     if (prefix.isEmpty) li <= lj
@@ -240,42 +244,25 @@ object CanonicalCode {
     def load(g: LabeledGraph): Unit =
       setGraph(g.numVertices, g.numEdges, g.vertexLabels, g.src, g.dst, g.edgeLabels)
 
-    /** Unpack `code` into `tuples` and its pattern graph (edge t = tuple
-      * t); false if the code is no valid labeling of a graph.
+    /** Unpack `prefix` extended by the tuple (i, j, li, le, lj) into
+      * `tuples` and its pattern graph (edge t = tuple t); false if the code
+      * is no valid labeling of a graph.
       */
-    def load(code: Vector[CodeEdge]): Boolean = {
-      putTuples(code, code.length)
-      loadTuples(code.length)
-    }
-
-    /** [[load]] of `prefix` extended by the tuple (i, j, li, le, lj). */
     def load(prefix: Vector[CodeEdge], i: Int, j: Int, li: Int, le: Int, lj: Int): Boolean = {
-      val m = prefix.length
-      putTuples(prefix, m + 1)
-      val o = 5 * m
-      tuples(o) = i; tuples(o + 1) = j; tuples(o + 2) = li; tuples(o + 3) = le; tuples(o + 4) = lj
-      loadTuples(m + 1)
-    }
-
-    /** `code`'s tuples into `tuples`, sized for `m` tuples. */
-    private def putTuples(code: Vector[CodeEdge], m: Int): Unit = {
+      val m = prefix.length + 1
       tuples = fit(tuples, 5 * m)
       var t = 0
-      while (t < code.length) {
-        val ce = code(t)
+      while (t < prefix.length) {
+        val ce = prefix(t)
         val o = 5 * t
         tuples(o) = ce.i; tuples(o + 1) = ce.j
         tuples(o + 2) = ce.li; tuples(o + 3) = ce.le; tuples(o + 4) = ce.lj
         t += 1
       }
-    }
-
-    /** The pattern graph of the first `m` tuples; false if they are no
-      * valid labeling of a graph.
-      */
-    private def loadTuples(m: Int): Boolean = {
+      val o = 5 * prefix.length
+      tuples(o) = i; tuples(o + 1) = j; tuples(o + 2) = li; tuples(o + 3) = le; tuples(o + 4) = lj
       var n = 0
-      var t = 0
+      t = 0
       while (t < m) {
         val i = tuples(5 * t); val j = tuples(5 * t + 1)
         if (i < 0 || j < 0 || i == j) return false
@@ -308,24 +295,9 @@ object CanonicalCode {
       nV = n; nE = m
       this.vl = vl; this.src = src; this.dst = dst; this.el = el
       adjStart = fit(adjStart, nV + 1)
-      java.util.Arrays.fill(adjStart, 0, nV + 1, 0)
       adjV = fit(adjV, 2 * nE)
       adjE = fit(adjE, 2 * nE)
-      var e = 0
-      while (e < nE) { adjStart(src(e) + 1) += 1; adjStart(dst(e) + 1) += 1; e += 1 }
-      var v = 0
-      while (v < nV) { adjStart(v + 1) += adjStart(v); v += 1 }
-      e = 0
-      while (e < nE) {
-        // adjStart(v) is the fill cursor of v here, restored below.
-        val u = src(e); val w = dst(e)
-        adjV(adjStart(u)) = w; adjE(adjStart(u)) = e; adjStart(u) += 1
-        adjV(adjStart(w)) = u; adjE(adjStart(w)) = e; adjStart(w) += 1
-        e += 1
-      }
-      v = nV
-      while (v > 0) { adjStart(v) = adjStart(v - 1); v -= 1 }
-      adjStart(0) = 0
+      LabeledGraph.fillAdjacency(nV, nE, src, dst, adjStart, adjV, adjE)
       ew = (nE + 63) >>> 6
       mw = ew + ((nV + 63) >>> 6)
       rm = fit(rm, nV)

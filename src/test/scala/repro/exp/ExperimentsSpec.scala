@@ -56,6 +56,12 @@ class ExperimentsSpec extends SparkSpec {
     (vqfSets.fs ++ vqfSets.catapult).foreach(p => assert(p.support >= frequentAt, p.key))
   }
 
+  test("vqfSets reports a hit deadline as timedOut instead of throwing") {
+    val db = MoleculeGen.db(MoleculeGen.aidsLike(20))
+    assert(Experiments.vqfSets(db, k = 5, eMax = 10, supMin = 0.1, timeoutMillis = 1).timedOut)
+    assert(!vqfSets.timedOut)
+  }
+
   test("tables56 produce per-query formulation rows") {
     val queries = Vqf.sampleQueries(vqfDb, 3, minE = 8, maxE = 12)
     val rows = Experiments.tables56("AIDS", vqfDb, vqfSets, queries)

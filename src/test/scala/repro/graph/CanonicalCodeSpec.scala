@@ -7,6 +7,7 @@ import repro.TestGraphs
 import repro.enumeration.Enumerator
 
 class CanonicalCodeSpec extends AnyFunSuite {
+  import CanonicalCodeSpec.bruteForceMinCode
 
   /** Run a ScalaCheck property under ScalaTest without the scalatestplus
     * bridge (not in the offline artifact set).
@@ -132,35 +133,6 @@ class CanonicalCodeSpec extends AnyFunSuite {
     assert(!CanonicalCode.isMin(nonMin))
   }
 
-  /** Lexicographic order of two complete DFS codes of the same graph:
-    * `CodeEdge.ordering` at the first differing tuple, where both codes
-    * extend the same prefix.
-    */
-  private def lexCompare(a: Vector[CodeEdge], b: Vector[CodeEdge]): Int =
-    a.indices.find(t => a(t) != b(t)).fold(0)(t => CodeEdge.ordering.compare(a(t), b(t)))
-
-  /** The minimum over *all* DFS codes of `g`, by exhaustive right-most
-    * extension of every oriented first edge until every edge is used.
-    * Returns the minimum and the number of complete codes seen.
-    */
-  private def bruteForceMinCode(g: LabeledGraph): (Vector[CodeEdge], Int) = {
-    var best: Vector[CodeEdge] = null
-    var complete = 0
-    def grow(code: Vector[CodeEdge], rm: List[Int], nVerts: Int, vmap: Array[Int], eids: Array[Int]): Unit =
-      if (code.length == g.numEdges) {
-        complete += 1
-        if (best == null || lexCompare(code, best) < 0) best = code
-      } else
-        RightMost.foreachExtension(g, rm, nVerts, vmap, eids) { (ce, w, e) =>
-          if (ce.isForward) grow(code :+ ce, DfsCode.extendRmPath(rm, ce), nVerts + 1, vmap :+ w, eids :+ e)
-          else grow(code :+ ce, rm, nVerts, vmap, eids :+ e)
-        }
-    for (e <- 0 until g.numEdges; (u, v) <- Seq((g.src(e), g.dst(e)), (g.dst(e), g.src(e))))
-      grow(Vector(CodeEdge(0, 1, g.vertexLabel(u), g.edgeLabel(e), g.vertexLabel(v))),
-        List(1, 0), 2, Array(u, v), Array(e))
-    (best, complete)
-  }
-
   test("minCodeOf equals the minimum over all DFS codes (brute-force oracle)") {
     val rng = new Random(23)
     (1 to 60).foreach { i =>
@@ -228,6 +200,22 @@ class CanonicalCodeSpec extends AnyFunSuite {
     }
     assert(accepted > 100 && rejected > 100, s"accepted $accepted, rejected $rejected")
     assert(preRejected > 50 && preRejected < rejected, s"pre-checks rejected $preRejected of $rejected")
+  }
+
+  test("isMin(code) answers false, without throwing, on malformed codes of two or more edges") {
+    val malformed = Seq(
+      "negative vertex index" -> Vector(CodeEdge(0, 1, 0, 0, 0), CodeEdge(1, -1, 0, 0, 0)),
+      "negative vertex index in the prefix" ->
+        Vector(CodeEdge(0, 1, 0, 0, 0), CodeEdge(-1, 2, 0, 0, 0), CodeEdge(2, 3, 0, 0, 0)),
+      "i == j" -> Vector(CodeEdge(0, 1, 0, 0, 0), CodeEdge(1, 1, 0, 0, 0)),
+      "i == j in the prefix" -> Vector(CodeEdge(0, 1, 0, 0, 0), CodeEdge(1, 1, 0, 0, 0), CodeEdge(1, 2, 0, 0, 0)),
+      "a vertex given two labels" -> Vector(CodeEdge(0, 1, 0, 0, 0), CodeEdge(1, 2, 1, 0, 0)),
+      "an unlabeled vertex" -> Vector(CodeEdge(0, 1, 0, 0, 0), CodeEdge(1, 3, 0, 0, 0)),
+      // Vertex 1 is off the right-most path (2, 0) of the star prefix.
+      "no right-most extension" -> Vector(CodeEdge(0, 1, 0, 0, 1), CodeEdge(0, 2, 0, 0, 1), CodeEdge(1, 3, 1, 0, 1)),
+      "a backward first tuple" -> Vector(CodeEdge(1, 0, 0, 0, 0), CodeEdge(1, 2, 0, 0, 0)),
+    )
+    malformed.foreach { case (what, code) => assert(!CanonicalCode.isMin(code), s"$what: ${DfsCode.key(code)}") }
   }
 
   test("each pre-check rejects a non-minimal code; an equal label pair is kept") {
@@ -314,5 +302,36 @@ class CanonicalCodeSpec extends AnyFunSuite {
   test("numVertices from code") {
     val code = Vector(CodeEdge(0, 1, 0, 0, 1), CodeEdge(1, 2, 1, 0, 2), CodeEdge(2, 0, 2, 0, 0))
     assert(DfsCode.numVertices(code) == 3)
+  }
+}
+
+object CanonicalCodeSpec {
+  /** Lexicographic order of two complete DFS codes of the same graph:
+    * `CodeEdge.ordering` at the first differing tuple, where both codes
+    * extend the same prefix.
+    */
+  private def lexCompare(a: Vector[CodeEdge], b: Vector[CodeEdge]): Int =
+    a.indices.find(t => a(t) != b(t)).fold(0)(t => CodeEdge.ordering.compare(a(t), b(t)))
+
+  /** The minimum over *all* DFS codes of `g`, by exhaustive right-most
+    * extension of every oriented first edge until every edge is used.
+    * Returns the minimum and the number of complete codes seen.
+    */
+  def bruteForceMinCode(g: LabeledGraph): (Vector[CodeEdge], Int) = {
+    var best: Vector[CodeEdge] = null
+    var complete = 0
+    def grow(code: Vector[CodeEdge], rm: List[Int], nVerts: Int, vmap: Array[Int], eids: Array[Int]): Unit =
+      if (code.length == g.numEdges) {
+        complete += 1
+        if (best == null || lexCompare(code, best) < 0) best = code
+      } else
+        RightMost.foreachExtension(g, rm, nVerts, vmap, eids) { (ce, w, e) =>
+          if (ce.isForward) grow(code :+ ce, DfsCode.extendRmPath(rm, ce), nVerts + 1, vmap :+ w, eids :+ e)
+          else grow(code :+ ce, rm, nVerts, vmap, eids :+ e)
+        }
+    for (e <- 0 until g.numEdges; (u, v) <- Seq((g.src(e), g.dst(e)), (g.dst(e), g.src(e))))
+      grow(Vector(CodeEdge(0, 1, g.vertexLabel(u), g.edgeLabel(e), g.vertexLabel(v))),
+        List(1, 0), 2, Array(u, v), Array(e))
+    (best, complete)
   }
 }

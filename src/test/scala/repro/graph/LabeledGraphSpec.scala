@@ -61,6 +61,38 @@ class LabeledGraphSpec extends AnyFunSuite {
     assert(seen.toSet == Set((0, 0), (2, 1)))
   }
 
+  /** `g` with its edge ids shuffled and each edge's direction flipped at
+    * random: the same graph, listed differently.
+    */
+  private def edgesShuffled(g: LabeledGraph, rng: Random): LabeledGraph =
+    LabeledGraph(g.id, g.vertexLabels.toSeq, rng.shuffle((0 until g.numEdges).toVector).map { e =>
+      if (rng.nextBoolean()) (g.src(e), g.dst(e), g.edgeLabel(e)) else (g.dst(e), g.src(e), g.edgeLabel(e))
+    })
+
+  test("foreachNeighbor lists each vertex's incident edges in ascending edge id") {
+    val rng = new Random(13)
+    (1 to 30).foreach { i =>
+      val g = edgesShuffled(TestGraphs.randomConnected(rng, 3 + rng.nextInt(8), rng.nextInt(6), 2), rng)
+      (0 until g.numVertices).foreach { v =>
+        val seen = Seq.newBuilder[(Int, Int)]
+        g.foreachNeighbor(v)((w, e) => seen += ((w, e)))
+        val expected = (0 until g.numEdges).collect {
+          case e if g.src(e) == v => (g.dst(e), e)
+          case e if g.dst(e) == v => (g.src(e), e)
+        }
+        assert(seen.result() == expected, s"iteration $i, vertex $v of $g")
+      }
+    }
+  }
+
+  test("minCodeOf equals the brute-force minimum on graphs with shuffled edge ids") {
+    val rng = new Random(17)
+    (1 to 30).foreach { i =>
+      val g = edgesShuffled(TestGraphs.randomConnected(rng, 3 + rng.nextInt(4), rng.nextInt(3), 2, 2), rng)
+      assert(CanonicalCode.minCodeOf(g) == CanonicalCodeSpec.bruteForceMinCode(g)._1, s"iteration $i: $g")
+    }
+  }
+
   test("self loops are rejected") {
     intercept[IllegalArgumentException] {
       LabeledGraph(9, Seq(0, 1), Seq((0, 0, 0)))
