@@ -32,8 +32,8 @@ object Baselines {
   }
 
   /** Walks the search space, support-pruned at `minSupport`, into a pool of
-    * `Pattern`s of at least `minEdges` edges; true with the pool if
-    * `timeoutMillis` hit first, which then holds the patterns found in time.
+    * the `Pattern`s of at least `minEdges` edges, and tells whether
+    * `timeoutMillis` hit first; the pool then holds those found in time.
     */
   private[repro] def collect(db: GraphDb, eMax: Int, minSupport: Int, timeoutMillis: Long,
                              minEdges: Int = 1): (IndexedSeq[Pattern], Boolean) = {
