@@ -14,9 +14,11 @@ import repro.exp.Experiments
   * CATAPULT sets of `Experiments.vqfSets` on the same databases (the
   * coverage of the set's union, `-` for `enumerated`); for `DistTed.run`
   * over the same graphs generated as a Spark dataset in 4 partitions
-  * (`enumerated` = its candidate pool); and for OPT on the sample
-  * database. A speed-up must leave every line unchanged. Only when
-  * results are meant to change, regenerate: run
+  * (`enumerated` = its candidate pool); for OPT on the sample database;
+  * and for TED and BASE at k = 5 on `aidsLike(1600)`, whose edge count
+  * and largest root expansions are large enough for the enumerator to
+  * split its loops into ranges. A speed-up must leave every line
+  * unchanged. Only when results are meant to change, regenerate: run
   * `sbt "Test/runMain repro.Golden"` and copy the lines it prints, without
   * sbt's `[info] ` prefix, to `src/test/resources/golden.txt`.
   */
@@ -37,6 +39,15 @@ object Golden {
     "TED_MinE3" -> (db => Ted.full(db, TedConfig(k = k, eMax = eMax, minEdges = 3))),
   )
 
+  /** A database large enough for the enumerator to split its loops into
+    * ranges, and the methods run on it at k = 5.
+    */
+  val splitCase: (String, Int) = ("aids", 1600)
+  private val splitMethods: Seq[(String, repro.graph.GraphDb => RunResult)] = Seq(
+    "TED_k5" -> (db => Ted.full(db, TedConfig(k = 5, eMax = eMax))),
+    "BASE_k5" -> (db => Ted.base(db, TedConfig(k = 5, eMax = eMax))),
+  )
+
   private def line(preset: String, n: Int, name: String, r: RunResult): String =
     line(preset, n, name, r.coverage.toString, r.enumerated.toString, r.patterns)
 
@@ -46,7 +57,7 @@ object Golden {
     (Seq(preset, n.toString, name, coverage, enumerated) ++ patterns.map(_.key).sorted).mkString(" ")
 
   /** One line per (preset, size, method), then the VQF sets and DistTed,
-    * then OPT.
+    * then OPT, then the split case.
     */
   def lines(spark: SparkSession): Seq[String] =
     cases.flatMap { case (preset, n) =>
@@ -59,7 +70,11 @@ object Golden {
         Seq("FS" -> sets.fs, "CAT" -> sets.catapult).map { case (name, ps) =>
           line(preset, n, name, MaxCover.coverageOf(ps.map(_.cover)).toString, "-", ps)
         } :+ line(preset, n, "DistTed", dist)
-    } :+ line("sample", SampleDb.db.numGraphs, "OPT", Baselines.optimal(SampleDb.db, 3, 3))
+    } :+ line("sample", SampleDb.db.numGraphs, "OPT", Baselines.optimal(SampleDb.db, 3, 3)) :++ {
+      val (preset, n) = splitCase
+      val db = MoleculeGen.db(MoleculeGen.preset(preset, n))
+      splitMethods.map { case (name, run) => line(preset, n, name, run(db)) }
+    }
 
   def main(args: Array[String]): Unit =
     try lines(SparkSpec.shared).foreach(println) finally SparkSpec.shared.stop()
