@@ -1,5 +1,7 @@
 package repro.enumeration
 
+import java.util.concurrent.{CountDownLatch, ForkJoinPool}
+import java.util.concurrent.atomic.{AtomicInteger, AtomicReference}
 import scala.collection.immutable.ArraySeq
 import repro.graph._
 
@@ -45,36 +47,48 @@ final class PatternNode private[enumeration] (
 
   lazy val key: String = DfsCode.key(code)
 
-  /** The embeddings, built from the parent's on first use. */
+  /** The embeddings, built from the parent's on first use, in ranges
+    * ([[Ranges]]) that fill disjoint slices of the array.
+    */
   def embeddings: Array[Emb] = {
-    if (built == null) {
-      val n = ext.length / 3
-      val out = new Array[Emb](n)
-      var k = 0
-      while (k < n) {
-        val pe = parent(ext(3 * k))
-        val w = ext(3 * k + 1)
-        val vmap =
-          if (w < 0) pe.vmap
-          else { val a = java.util.Arrays.copyOf(pe.vmap, nVerts); a(nVerts - 1) = w; a }
-        val eids = java.util.Arrays.copyOf(pe.eids, numEdges)
-        eids(numEdges - 1) = ext(3 * k + 2)
-        out(k) = Emb(pe.graphIdx, vmap, eids)
-        k += 1
-      }
-      built = out
+    if (parent != null) {
+      // `built` fills while `parent` and `ext` still hold what it reads.
+      built = new Array[Emb](ext.length / 3)
+      try Ranges.run(built.length, this, PatternNode.buildRange)
+      catch { case e: Throwable => built = null; throw e }
       parent = null
       ext = null
     }
     built
   }
 
-  private def numEmbeddings: Int = if (built != null) built.length else ext.length / 3
+  /** Builds embeddings `[from, until)` into `built`. */
+  private def buildRange(from: Int, until: Int): Unit = {
+    val out = built
+    val parent = this.parent
+    val ext = this.ext
+    val nv = nVerts
+    val ne = numEdges
+    var k = from
+    while (k < until) {
+      val pe = parent(ext(3 * k))
+      val w = ext(3 * k + 1)
+      val vmap =
+        if (w < 0) pe.vmap
+        else { val a = java.util.Arrays.copyOf(pe.vmap, nv); a(nv - 1) = w; a }
+      val eids = java.util.Arrays.copyOf(pe.eids, ne)
+      eids(ne - 1) = ext(3 * k + 2)
+      out(k) = Emb(pe.graphIdx, vmap, eids)
+      k += 1
+    }
+  }
+
+  private def numEmbeddings: Int = if (parent == null) built.length else ext.length / 3
 
   /** Embedding `k`, or before `embeddings` is built, the parent embedding
     * it extends.
     */
-  @inline private def embOrParent(k: Int): Emb = if (built != null) built(k) else parent(ext(3 * k))
+  @inline private def embOrParent(k: Int): Emb = if (parent == null) built(k) else parent(ext(3 * k))
 
   /** Distinct database graph indices containing this pattern, ascending. */
   lazy val graphIds: Array[Int] = {
@@ -106,7 +120,7 @@ final class PatternNode private[enumeration] (
       val n = numEmbeddings
       // Before `embeddings` is built, embedding k is a parent embedding
       // plus edge ext(3k + 2).
-      val ext = if (built == null) this.ext else null
+      val ext = this.ext
       val scratch = PatternNode.coverScratch.get
       val out = scratch.out(math.min(n.toLong * numEdges, db.totalEdges.toLong).toInt)
       var m = 0
@@ -145,6 +159,8 @@ final class PatternNode private[enumeration] (
 }
 
 private object PatternNode {
+  val buildRange: Ranges.Loop[PatternNode] = (p, _, from, until) => p.buildRange(from, until)
+
   /** `coverGlobal`'s buffers, reused across calls. One per thread: Spark
     * task threads build covers concurrently.
     */
@@ -170,8 +186,16 @@ final class TedTimeout(val elapsedMillis: Long) extends RuntimeException(s"deadl
 
 /** Database-wide subgraph enumeration by right-most extension with
   * canonical-code duplicate pruning — the substrate of ALL_g/ALL_t (gSpan
-  * without support pruning) and FSG_g/FSG_t (with `minSupport`). Not
-  * thread-safe: `children` reuses one extension table.
+  * without support pruning) and FSG_g/FSG_t (with `minSupport`).
+  *
+  * The loops that scale with the database run in ranges at once
+  * ([[Ranges]]): the roots' edge pass, `children`'s extension pass and the
+  * build of a child's embeddings. Each extension range fills its own table,
+  * and the tables are merged in range order, so every result equals the
+  * one-range loop's. The tables are the calling thread's, reused across
+  * calls, so enumerators on different threads share nothing. Not
+  * thread-safe: `children` reuses one buffer for the children it keeps,
+  * and hands IPS's lists over through the nodes.
   *
   * @param minSupport minimum number of distinct graphs containing a
   *                   pattern (1 = enumerate everything); anti-monotone,
@@ -194,10 +218,26 @@ final class Enumerator(
     val d = if (ms > Long.MaxValue / 1000000L) Long.MaxValue else startNanos + ms * 1000000L
     if (d < startNanos) Long.MaxValue else d
   }
-  private val table = new ExtensionTable
   // The children `children` keeps, before the exact-sized copy it returns;
   // cleared after the copy, so that it holds no node alive.
   private var kidBuf = new Array[PatternNode](16)
+
+  // The node `children` is extending, for its extension ranges.
+  private var expanding: PatternNode = _
+  private val extendRange: ExtensionTable.Loop = (t, from, until) => {
+    val p = expanding
+    val embs = p.embeddings
+    val rmPath = p.rmPath
+    val nVerts = p.nVerts
+    val graphs = db.graphs
+    var k = from
+    while (k < until) {
+      val emb = embs(k)
+      t.source = k
+      RightMost.extend(graphs(emb.graphIdx), rmPath, nVerts, emb.vmap, emb.eids, t)
+      k += 1
+    }
+  }
 
   private def checkDeadline(): Unit =
     if (System.nanoTime() > deadlineNanos)
@@ -207,25 +247,28 @@ final class Enumerator(
   lazy val roots: IndexedSeq[PatternNode] = buildRoots()
 
   /** The roots' grouping loop, in an ordinary method rather than the lazy
-    * val's initializer, where the JIT compiles it poorly. Each record is
-    * (graph, first endpoint, edge).
+    * val's initializer, where the JIT compiles it poorly. It runs in
+    * ranges of global edge ids. Each record is (graph, first endpoint,
+    * edge).
     */
   private def buildRoots(): IndexedSeq[PatternNode] = {
-    val t = table
-    t.clear()
-    var gi = 0
-    while (gi < db.numGraphs) {
-      val g = db.graphs(gi)
-      t.source = gi
-      var e = 0
-      while (e < g.numEdges) {
-        val lu = g.vertexLabel(g.src(e)); val lv = g.vertexLabel(g.dst(e))
-        if (lu <= lv) t.extension(0, 1, lu, g.edgeLabel(e), lv, g.src(e), e)
-        if (lv <= lu) t.extension(0, 1, lv, g.edgeLabel(e), lu, g.dst(e), e)
-        e += 1
+    val t = ExtensionTable.fill(db.totalEdges, (t, from, until) => {
+      var ge = from
+      while (ge < until) {
+        val gi = db.graphOfEdge(ge)
+        val g = db.graphs(gi)
+        val off = db.edgeOffset(gi)
+        val end = math.min(until, db.edgeOffset(gi + 1))
+        t.source = gi
+        while (ge < end) {
+          val e = ge - off
+          val lu = g.vertexLabel(g.src(e)); val lv = g.vertexLabel(g.dst(e))
+          if (lu <= lv) t.extension(0, 1, lu, g.edgeLabel(e), lv, g.src(e), e)
+          if (lv <= lu) t.extension(0, 1, lv, g.edgeLabel(e), lu, g.dst(e), e)
+          ge += 1
+        }
       }
-      gi += 1
-    }
+    })
     val order = t.sortedGroups()
     Iterator.range(0, t.numGroups).map { a =>
       val grp = order(a)
@@ -263,15 +306,9 @@ final class Enumerator(
     val kept = p.kept
     if (kept != null) { p.kept = null; return kept }
     val embs = p.embeddings
-    val t = table
-    t.clear()
-    var k = 0
-    while (k < embs.length) {
-      val emb = embs(k)
-      t.source = k
-      RightMost.extend(db.graphs(emb.graphIdx), p.rmPath, p.nVerts, emb.vmap, emb.eids, t)
-      k += 1
-    }
+    expanding = p
+    val t = ExtensionTable.fill(embs.length, extendRange)
+    expanding = null
     val order = t.sortedGroups()
     if (kidBuf.length < t.numGroups) kidBuf = new Array[PatternNode](math.max(t.numGroups, 2 * kidBuf.length))
     var n = 0
@@ -313,6 +350,84 @@ final class Enumerator(
   }
 }
 
+/** Runs a loop over `[0, n)` cut into contiguous ranges, at once on the
+  * calling thread and the common fork-join pool. The rule: one range per
+  * [[MinItems]] items, at most [[max]] (the pool's parallelism plus the
+  * caller), at least one; below `2 * MinItems` items the one range is the
+  * whole loop on the caller.
+  *
+  * The caller claims ranges from a shared counter as the pool tasks do,
+  * and waits only when none is left to claim, so it never waits on a range
+  * that nobody has started: a saturated pool, or a caller that is itself a
+  * pool worker or a Spark task, still finishes.
+  */
+private[enumeration] object Ranges {
+  /** The items `[from, until)` of range `r`, with the call's context `a`.
+    * A loop takes its context as an argument rather than capturing it, so
+    * that a call allocates nothing when it runs one range.
+    */
+  trait Loop[A] {
+    def apply(a: A, r: Int, from: Int, until: Int): Unit
+  }
+
+  /** The fewest items worth a range of their own. */
+  val MinItems = 4096
+
+  /** The most ranges: one per common-pool worker and one for the caller. */
+  val max: Int = ForkJoinPool.getCommonPoolParallelism + 1
+
+  /** The number of ranges `run(n)` cuts `[0, n)` into. */
+  def count(n: Int): Int = math.max(1, math.min(n / MinItems, max))
+
+  /** Runs `loop(a, r, from, until)` for each range r of `[0, n)`, and
+    * returns the number of ranges once every one has ended. The first
+    * exception a range throws is rethrown here.
+    */
+  def run[A](n: Int, a: A, loop: Loop[A]): Int = {
+    val count = this.count(n)
+    if (count == 1) loop(a, 0, 0, n)
+    else {
+      val job = new Job(n, count, a, loop)
+      var h = 1
+      while (h < count) { ForkJoinPool.commonPool.execute(job); h += 1 }
+      job.run()
+      job.await()
+    }
+    count
+  }
+
+  private final class Job[A](n: Int, count: Int, a: A, loop: Loop[A]) extends Runnable {
+    private val next = new AtomicInteger
+    private val done = new CountDownLatch(count)
+    private val failure = new AtomicReference[Throwable]
+
+    private def start(r: Int): Int = (n.toLong * r / count).toInt
+
+    /** Claims and runs ranges until none is left. */
+    def run(): Unit = {
+      var r = next.getAndIncrement()
+      while (r < count) {
+        try loop(a, r, start(r), start(r + 1))
+        catch { case e: Throwable => failure.compareAndSet(null, e) }
+        finally done.countDown()
+        r = next.getAndIncrement()
+      }
+    }
+
+    /** Waits for every range, through interrupts: the ranges write buffers
+      * that the caller reuses once this returns.
+      */
+    def await(): Unit = {
+      var interrupted = false
+      while (done.getCount > 0)
+        try done.await() catch { case _: InterruptedException => interrupted = true }
+      if (interrupted) Thread.currentThread.interrupt()
+      val e = failure.get
+      if (e != null) throw e
+    }
+  }
+}
+
 /** Extension records grouped by extension tuple, reused across calls, so
   * that nothing is allocated per extension once its buffers have grown.
   *
@@ -343,6 +458,30 @@ private final class ExtensionTable extends RightMost.Sink {
     while (g < nGroups) { slots(slotOf(g)) = 0; g += 1 }
     nGroups = 0
     nRecs = 0
+  }
+
+  /** Appends `o`'s records after this table's: each of `o`'s chains is
+    * linked after the chain of the group with its tuple, added if new. The
+    * records are copied in one block with their links shifted; one lookup
+    * per group of `o`, none per record.
+    */
+  def appendFrom(o: ExtensionTable): Unit = {
+    val base = nRecs
+    nRecs += o.nRecs
+    if (4 * nRecs > recs.length) recs = java.util.Arrays.copyOf(recs, math.max(4 * nRecs, 2 * recs.length))
+    System.arraycopy(o.recs, 0, recs, 4 * base, 4 * o.nRecs)
+    var r = base
+    while (r < nRecs) { val x = 4 * r + 3; if (recs(x) >= 0) recs(x) += base; r += 1 }
+    var h = 0
+    while (h < o.nGroups) {
+      val x = 5 * h
+      val g = group(o.tuples(x), o.tuples(x + 1), o.tuples(x + 2), o.tuples(x + 3), o.tuples(x + 4))
+      val head = o.heads(h) + base
+      if (tails(g) < 0) heads(g) = head else recs(4 * tails(g) + 3) = head
+      tails(g) = o.tails(h) + base
+      sizes(g) += o.sizes(h)
+      h += 1
+    }
   }
 
   def extension(i: Int, j: Int, li: Int, le: Int, lj: Int, w: Int, e: Int): Unit = {
@@ -471,5 +610,48 @@ private final class ExtensionTable extends RightMost.Sink {
       r = recs(o + 3)
     }
     out
+  }
+}
+
+private object ExtensionTable {
+  /** Records the extensions of items `[from, until)` into `t`. */
+  trait Loop {
+    def apply(t: ExtensionTable, from: Int, until: Int): Unit
+  }
+
+  /** A thread's tables, one per range, and the loop its `fill` runs. */
+  private final class Tables {
+    val tables: Array[ExtensionTable] = Array.fill(Ranges.max)(new ExtensionTable)
+    var loop: Loop = _
+  }
+
+  private val perThread: ThreadLocal[Tables] = ThreadLocal.withInitial(() => new Tables)
+
+  private val fillRange: Ranges.Loop[Tables] = (ts, r, from, until) => {
+    val t = ts.tables(r)
+    t.clear()
+    ts.loop(t, from, until)
+  }
+
+  /** The calling thread's tables, one per range, reused across calls.
+    * They belong to the thread that calls `fill`, never to the pool worker
+    * that fills one: a worker may next serve another thread's call.
+    */
+  def tables: Array[ExtensionTable] = perThread.get.tables
+
+  /** Runs `loop(table, from, until)` over `[0, n)` with `Ranges.run`, each
+    * range into its own cleared table, and returns the first table with the
+    * others appended in range order. So each group's records come in
+    * ascending item order, as from one range over `[0, n)`. Valid until
+    * the calling thread's next `fill`.
+    */
+  def fill(n: Int, loop: Loop): ExtensionTable = {
+    val ts = perThread.get
+    ts.loop = loop
+    val count = try Ranges.run(n, ts, fillRange) finally ts.loop = null
+    val t = ts.tables
+    var r = 1
+    while (r < count) { t(0).appendFrom(t(r)); r += 1 }
+    t(0)
   }
 }

@@ -1,24 +1,27 @@
 package repro.enumeration
 
+import java.util.concurrent.{ConcurrentLinkedQueue, CountDownLatch, ForkJoinPool, FutureTask, TimeUnit}
 import org.scalatest.funsuite.AnyFunSuite
 import scala.collection.mutable
+import scala.jdk.CollectionConverters._
 import scala.util.Random
 import repro.TestGraphs
 import repro.core.{Baselines, Ips, TedConfig}
 import repro.data.{MoleculeGen, SampleDb}
-import repro.graph.{CodeEdge, DfsCode, GraphDb, LabeledGraph, RightMost}
+import repro.graph.{CanonicalCode, CodeEdge, DfsCode, GraphDb, LabeledGraph, RightMost}
 
 class EnumeratorSpec extends AnyFunSuite {
 
   private def enumerate(db: GraphDb, eMax: Int, minSupport: Int = 1): Seq[PatternNode] =
     TestGraphs.nodes(new Enumerator(db, eMax, minSupport))
 
-  /** The children of `p` built eagerly from its embeddings with
-    * `RightMost.foreachExtension`: extension -> embeddings, in order.
+  /** The children of `p` built eagerly from its embeddings `embs` (by
+    * default `p.embeddings`) with `RightMost.foreachExtension`: extension
+    * -> embeddings, in order.
     */
-  private def eagerChildren(db: GraphDb, p: PatternNode): Map[CodeEdge, Seq[Emb]] = {
+  private def eagerChildren(db: GraphDb, p: PatternNode, embs: Seq[Emb] = null): Map[CodeEdge, Seq[Emb]] = {
     val byExt = mutable.Map.empty[CodeEdge, mutable.ArrayBuffer[Emb]]
-    p.embeddings.foreach { emb =>
+    (if (embs == null) p.embeddings.toSeq else embs).foreach { emb =>
       RightMost.foreachExtension(db.graphs(emb.graphIdx), p.rmPath, p.nVerts, emb.vmap, emb.eids) { (ce, w, e) =>
         byExt.getOrElseUpdate(ce, mutable.ArrayBuffer.empty) +=
           Emb(emb.graphIdx, if (w >= 0) emb.vmap :+ w else emb.vmap, emb.eids :+ e)
@@ -330,6 +333,173 @@ class EnumeratorSpec extends AnyFunSuite {
         assert(e.graphIdx == f.graphIdx && e.vmap.toSeq == f.vmap.toSeq && e.eids.toSeq == f.eids.toSeq, x.key)
       }
     }
+  }
+
+  /** A database whose edge pass, largest root expansions and the
+    * embedding builds of their children each run in two or more ranges.
+    */
+  private lazy val splitDb = MoleculeGen.db(MoleculeGen.aidsLike(1600))
+
+  /** The roots built eagerly, edge by edge, from each endpoint whose label
+    * is at most the other's: tuple -> embeddings, in order.
+    */
+  private def eagerRoots(db: GraphDb): Map[CodeEdge, Seq[Emb]] = {
+    val byTuple = mutable.Map.empty[CodeEdge, mutable.ArrayBuffer[Emb]]
+    db.graphs.indices.foreach { gi =>
+      val g = db.graphs(gi)
+      (0 until g.numEdges).foreach { e =>
+        Seq((g.src(e), g.dst(e)), (g.dst(e), g.src(e))).foreach { case (u, v) =>
+          if (g.vertexLabel(u) <= g.vertexLabel(v))
+            byTuple.getOrElseUpdate(CodeEdge(0, 1, g.vertexLabel(u), g.edgeLabel(e), g.vertexLabel(v)),
+              mutable.ArrayBuffer.empty) += Emb(gi, Array(u, v), Array(e))
+        }
+      }
+    }
+    byTuple.toMap.map { case (ce, embs) => ce -> embs.toSeq }
+  }
+
+  /** `got` holds the tuples of `ref` that `keep` accepts, appended to
+    * `prefix`, in `CodeEdge` order; each with the graph ids, cover and then
+    * embeddings of its reference embeddings, in order.
+    */
+  private def assertMatches(db: GraphDb, prefix: Vector[CodeEdge], got: Seq[PatternNode],
+                            ref: Map[CodeEdge, Seq[Emb]], keep: CodeEdge => Boolean): Unit = {
+    assert(got.map(_.key) == ref.keys.filter(keep).toSeq.sorted.map(ce => DfsCode.key(prefix :+ ce)))
+    got.foreach { n =>
+      val embs = ref(n.code.last)
+      assert(n.graphIds.toSeq == embs.map(_.graphIdx).distinct, n.key)
+      assert(n.coverGlobal(db).toSeq == embs.flatMap(e => e.eids.map(db.edgeOffset(e.graphIdx) + _)).distinct.sorted, n.key)
+      assert(n.embeddings.length == embs.length, n.key)
+      n.embeddings.zip(embs).foreach { case (a, b) =>
+        assert(a.graphIdx == b.graphIdx && a.vmap.toSeq == b.vmap.toSeq && a.eids.toSeq == b.eids.toSeq, n.key)
+      }
+    }
+  }
+
+  test("Ranges cuts [0, n) into contiguous ranges by its rule, runs each once and rethrows a range's exception") {
+    assert(Ranges.max == ForkJoinPool.getCommonPoolParallelism + 1)
+    assert(Seq(0, 1, 2 * Ranges.MinItems - 1).forall(Ranges.count(_) == 1))
+    assert(Ranges.count(2 * Ranges.MinItems) == 2)
+    assert(Ranges.count(Int.MaxValue) == Ranges.max)
+    Seq(0, 1, 2 * Ranges.MinItems, 3 * Ranges.MinItems * Ranges.max + 7).foreach { n =>
+      val seen = new ConcurrentLinkedQueue[(Int, Int, Int)]
+      val count = Ranges.run[Unit](n, (), (_, r, from, until) => { seen.add((r, from, until)); () })
+      val ranges = seen.asScala.toSeq.sortBy(_._1)
+      assert(count == Ranges.count(n), s"n $n")
+      assert(ranges.map(_._1) == (0 until count), s"n $n")
+      assert(ranges.head._2 == 0 && ranges.last._3 == n, s"n $n")
+      ranges.zip(ranges.tail).foreach { case (a, b) => assert(a._3 == b._2, s"n $n") }
+      if (count > 1) assert(ranges.forall { case (_, from, until) => until - from >= Ranges.MinItems }, s"n $n")
+    }
+    (0 until 2).foreach { bad =>
+      val e = intercept[IllegalStateException] {
+        Ranges.run[Unit](2 * Ranges.MinItems, (), (_, r, _, _) => if (r == bad) throw new IllegalStateException(s"range $r"))
+      }
+      assert(e.getMessage == s"range $bad")
+    }
+  }
+
+  test("on a database large enough to split, roots, children and embeddings equal an eager reference") {
+    val db = splitDb
+    val en = new Enumerator(db, 3)
+    assert(Ranges.count(db.totalEdges) >= 2)
+    val roots = eagerRoots(db)
+    assertMatches(db, Vector.empty, en.roots, roots, _ => true)
+    var splitChildren = 0
+    var splitEmbeddings = 0
+    // The reference descends from its own embeddings, not the node's.
+    def go(p: PatternNode, embs: Seq[Emb]): Unit = if (p.numEdges < en.eMax) {
+      val ref = eagerChildren(db, p, embs)
+      val kids = en.children(p)
+      if (Ranges.count(embs.length) >= 2) splitChildren += 1
+      kids.foreach(c => if (Ranges.count(ref(c.code.last).length) >= 2) splitEmbeddings += 1)
+      assertMatches(db, p.code, kids, ref, ce => CanonicalCode.isMin(p.code :+ ce))
+      kids.foreach(c => go(c, ref(c.code.last)))
+    }
+    en.roots.foreach(r => go(r, roots(r.code.last)))
+    assert(splitChildren > 0 && splitEmbeddings > 0)
+  }
+
+  /** The nodes of `en` whose children split into ranges, down to two
+    * edges, in walk order.
+    */
+  private def splitNodes(en: Enumerator): IndexedSeq[PatternNode] =
+    en.roots.filter(r => Ranges.count(r.embeddings.length) >= 2).flatMap { r =>
+      r +: en.children(r).filter(c => Ranges.count(c.embeddings.length) >= 2)
+    }
+
+  /** The children of `p` by key, with a hash of their graph ids, covers
+    * and embeddings.
+    */
+  private def digest(db: GraphDb, kids: Seq[PatternNode]): Seq[(String, Int)] = kids.map { n =>
+    var h = java.util.Arrays.hashCode(n.graphIds)
+    h = 31 * h + java.util.Arrays.hashCode(n.coverGlobal(db))
+    n.embeddings.foreach { e =>
+      h = 31 * (31 * (31 * h + e.graphIdx) + java.util.Arrays.hashCode(e.vmap)) + java.util.Arrays.hashCode(e.eids)
+    }
+    n.key -> h
+  }
+
+  test("four enumerators expanding one large database at once give the sequential children") {
+    val db = splitDb
+    val expected = { val en = new Enumerator(db, 3); splitNodes(en).map(p => digest(db, en.children(p))) }
+    assert(expected.length >= 2)
+    // Each thread expands every split node 8 times, from its own offset,
+    // so that the threads expand different nodes at once.
+    val errors = new ConcurrentLinkedQueue[Throwable]
+    val start = new CountDownLatch(1)
+    val threads = (0 until 4).map { t =>
+      new Thread(() =>
+        try {
+          start.await()
+          val en = new Enumerator(db, 3)
+          val nodes = splitNodes(en)
+          (0 until 8 * nodes.length).foreach { i =>
+            val a = (t * nodes.length / 4 + i) % nodes.length
+            assert(digest(db, en.children(nodes(a))) == expected(a), s"thread $t, node ${nodes(a).key}")
+          }
+        } catch { case e: Throwable => errors.add(e) })
+    }
+    threads.foreach(_.start())
+    start.countDown()
+    threads.foreach(_.join())
+    assert(errors.isEmpty, errors.toString)
+  }
+
+  test("a split fill hands each range one of the calling thread's tables, also on a pool worker") {
+    val own = ExtensionTable.tables
+    val used = new ConcurrentLinkedQueue[(ExtensionTable, Thread)]
+    (1 to 5).foreach { _ =>
+      // Each range sleeps, so that the pool's workers claim some.
+      ExtensionTable.fill(Ranges.max * Ranges.MinItems, (t, _, _) => {
+        used.add((t, Thread.currentThread)); Thread.sleep(5)
+      })
+    }
+    assert(used.asScala.exists(_._2 ne Thread.currentThread), "no range ran on a pool worker")
+    used.asScala.foreach { case (t, th) => assert(own.exists(_ eq t), s"a table of ${th.getName}") }
+  }
+
+  test("roots and children on a large node finish while every common-pool worker is blocked") {
+    val db = splitDb
+    val en = new Enumerator(db, 3)
+    val root = en.roots.maxBy(_.embeddings.length)
+    assert(Ranges.count(root.embeddings.length) >= 2)
+    val expected = en.children(root)
+    val workers = ForkJoinPool.getCommonPoolParallelism
+    val blocked = new CountDownLatch(workers)
+    val release = new CountDownLatch(1)
+    (1 to workers).foreach { _ =>
+      ForkJoinPool.commonPool.execute(() => { blocked.countDown(); release.await() })
+    }
+    try {
+      assert(blocked.await(30, TimeUnit.SECONDS), "the pool's workers did not all start")
+      val call = new FutureTask(() => {
+        val fresh = new Enumerator(db, 3)
+        fresh.children(fresh.roots.maxBy(_.embeddings.length))
+      })
+      new Thread(call).start()
+      assertSameChildren(db, call.get(60, TimeUnit.SECONDS), expected)
+    } finally release.countDown()
   }
 
   test("children hands IPS's expansions to the next call once, then recomputes") {
