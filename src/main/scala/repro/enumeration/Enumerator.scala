@@ -34,8 +34,11 @@ final class PatternNode private[enumeration] (
 
   private[enumeration] def this(code: Vector[CodeEdge], rmPath: List[Int], nVerts: Int, embeddings: Array[Emb]) = {
     this(code, rmPath, nVerts, embeddings, null, null)
-    require((1 until embeddings.length).forall(i => embeddings(i - 1).graphIdx <= embeddings(i).graphIdx),
-      "embeddings must be ordered by graphIdx")
+    var i = 1
+    while (i < embeddings.length) {
+      require(embeddings(i - 1).graphIdx <= embeddings(i).graphIdx, "embeddings must be ordered by graphIdx")
+      i += 1
+    }
   }
 
   def numEdges: Int = code.length
@@ -54,7 +57,7 @@ final class PatternNode private[enumeration] (
     if (parent != null) {
       // `built` fills while `parent` and `ext` still hold what it reads.
       built = new Array[Emb](ext.length / 3)
-      try Ranges.run(built.length, this, PatternNode.buildRange)
+      try Ranges.run(built.length, Ranges.Extend, this, PatternNode.buildRange)
       catch { case e: Throwable => built = null; throw e }
       parent = null
       ext = null
@@ -90,18 +93,53 @@ final class PatternNode private[enumeration] (
     */
   @inline private def embOrParent(k: Int): Emb = if (parent == null) built(k) else parent(ext(3 * k))
 
-  /** Distinct database graph indices containing this pattern, ascending. */
-  lazy val graphIds: Array[Int] = {
+  /** The first embedding index at or after `k` that starts a graph's run
+    * of embeddings (0 and `numEmbeddings` count as starts).
+    */
+  private def graphStart(k: Int): Int = {
     val n = numEmbeddings
-    val out = new Array[Int](n)
-    var m = 0
-    var k = 0
-    while (k < n) {
-      val gi = embOrParent(k).graphIdx
-      if (m == 0 || out(m - 1) != gi) { out(m) = gi; m += 1 }
+    if (k == 0 || k >= n) return math.min(k, n)
+    val g = embOrParent(k - 1).graphIdx
+    if (embOrParent(k).graphIdx != g) return k
+    // The first index in (k, n] whose graph is past g.
+    var lo = k
+    var hi = n
+    while (hi - lo > 1) {
+      val mid = (lo + hi) >>> 1
+      if (embOrParent(mid).graphIdx == g) lo = mid else hi = mid
+    }
+    hi
+  }
+
+  /** Distinct database graph indices containing this pattern, ascending.
+    * Built in ranges ([[Ranges]]): each writes the distinct graphs of its
+    * slice of the embeddings to the same slice of the calling thread's
+    * buffer, and the slices are joined in range order, each dropping its
+    * first id when it equals the previous one's last.
+    */
+  lazy val graphIds: Array[Int] = {
+    val s = PatternNode.scratch.get
+    s.grow(numEmbeddings)
+    s.joined(s.run(this, null, numEmbeddings, PatternNode.graphIdsRange))
+  }
+
+  /** Writes the distinct graphs of embeddings `[from, until)` to
+    * `s.buf` from index `from`.
+    */
+  private def graphIdsRange(s: PatternNode.Scratch, r: Int, from: Int, until: Int): Unit = {
+    val out = s.buf
+    val built = this.built
+    val parent = this.parent
+    val ext = this.ext
+    var m = from
+    var last = -1
+    var k = from
+    while (k < until) {
+      val gi = if (parent == null) built(k).graphIdx else parent(ext(3 * k)).graphIdx
+      if (gi != last) { out(m) = gi; m += 1; last = gi }
       k += 1
     }
-    java.util.Arrays.copyOf(out, m)
+    s.slice(r, from, m - from)
   }
 
   def support: Int = graphIds.length
@@ -109,50 +147,69 @@ final class PatternNode private[enumeration] (
   private var coverCache: Array[Int] = _
 
   /** Cover set over the whole database as sorted distinct global edge ids:
-    * `Cov(p, D) = union over embeddings of their edge images`. Built one
-    * graph at a time: its embeddings' local edge ids are marked in a
-    * bitset, which is then read out in ascending order and cleared. Both
-    * the bitset and the output buffer are the calling thread's scratch;
-    * the result is an exact-length copy.
+    * `Cov(p, D) = union over embeddings of their edge images`. Built in
+    * ranges ([[Ranges]]) whose ends move forward to the next graph's first
+    * embedding, so that no graph spans two ranges. A range takes its
+    * graphs one at a time: their embeddings' local edge ids are marked in
+    * the bitset of the thread running the range, which is then read out in
+    * ascending order and cleared. The range writes its edges to the calling
+    * thread's output buffer, from the edge offset of its first graph less
+    * that of embedding 0's, a slice no other range reaches. The slices are
+    * joined in range order into an exact-length array.
     */
   def coverGlobal(db: GraphDb): Array[Int] = {
     if (coverCache == null) {
       val n = numEmbeddings
-      // Before `embeddings` is built, embedding k is a parent embedding
-      // plus edge ext(3k + 2).
-      val ext = this.ext
-      val scratch = PatternNode.coverScratch.get
-      val out = scratch.out(math.min(n.toLong * numEdges, db.totalEdges.toLong).toInt)
-      var m = 0
-      var marks = scratch.marks
-      var k = 0
-      while (k < n) {
-        val gi = embOrParent(k).graphIdx
-        val off = db.edgeOffset(gi)
-        val words = (db.edgeOffset(gi + 1) - off + 63) >>> 6
-        if (marks.length < words) { marks = new Array[Long](words); scratch.marks = marks }
-        while (k < n && embOrParent(k).graphIdx == gi) {
-          val eids = embOrParent(k).eids
-          var t = 0
-          while (t < eids.length) { marks(eids(t) >>> 6) |= 1L << eids(t); t += 1 }
-          if (ext != null) { val e = ext(3 * k + 2); marks(e >>> 6) |= 1L << e }
-          k += 1
-        }
-        var w = 0
-        while (w < words) {
-          var bits = marks(w)
-          marks(w) = 0L
-          while (bits != 0L) {
-            out(m) = off + (w << 6) + java.lang.Long.numberOfTrailingZeros(bits)
-            m += 1
-            bits &= bits - 1
-          }
-          w += 1
-        }
-      }
-      coverCache = java.util.Arrays.copyOf(out, m)
+      val s = PatternNode.scratch.get
+      // The edges of the graphs from embedding 0's to the last one's, which
+      // hold every range's output.
+      val span = if (n == 0) 0 else db.edgeOffset(embOrParent(n - 1).graphIdx + 1) - db.edgeOffset(embOrParent(0).graphIdx)
+      s.grow(span)
+      coverCache = s.joined(s.run(this, db, n, PatternNode.coverRange))
     }
     coverCache
+  }
+
+  /** Writes the cover of the graphs whose embeddings start in
+    * `[from, until)` to `s.buf`.
+    */
+  private def coverRange(s: PatternNode.Scratch, r: Int, from0: Int, until0: Int): Unit = {
+    val db = s.db
+    val out = s.buf
+    val until = graphStart(until0)
+    var k = graphStart(from0)
+    val start = if (k < until) db.edgeOffset(embOrParent(k).graphIdx) - db.edgeOffset(embOrParent(0).graphIdx) else 0
+    // Before `embeddings` is built, embedding k is a parent embedding
+    // plus edge ext(3k + 2).
+    val ext = this.ext
+    val own = PatternNode.scratch.get
+    var marks = own.marks
+    var m = start
+    while (k < until) {
+      val gi = embOrParent(k).graphIdx
+      val off = db.edgeOffset(gi)
+      val words = (db.edgeOffset(gi + 1) - off + 63) >>> 6
+      if (marks.length < words) { marks = new Array[Long](words); own.marks = marks }
+      while (k < until && embOrParent(k).graphIdx == gi) {
+        val eids = embOrParent(k).eids
+        var t = 0
+        while (t < eids.length) { marks(eids(t) >>> 6) |= 1L << eids(t); t += 1 }
+        if (ext != null) { val e = ext(3 * k + 2); marks(e >>> 6) |= 1L << e }
+        k += 1
+      }
+      var w = 0
+      while (w < words) {
+        var bits = marks(w)
+        marks(w) = 0L
+        while (bits != 0L) {
+          out(m) = off + (w << 6) + java.lang.Long.numberOfTrailingZeros(bits)
+          m += 1
+          bits &= bits - 1
+        }
+        w += 1
+      }
+    }
+    s.slice(r, start, m - start)
   }
 
   def coverage(db: GraphDb): Int = coverGlobal(db).length
@@ -160,23 +217,63 @@ final class PatternNode private[enumeration] (
 
 private object PatternNode {
   val buildRange: Ranges.Loop[PatternNode] = (p, _, from, until) => p.buildRange(from, until)
+  val graphIdsRange: Ranges.Loop[Scratch] = (s, r, from, until) => s.node.graphIdsRange(s, r, from, until)
+  val coverRange: Ranges.Loop[Scratch] = (s, r, from, until) => s.node.coverRange(s, r, from, until)
 
-  /** `coverGlobal`'s buffers, reused across calls. One per thread: Spark
-    * task threads build covers concurrently.
+  /** The buffers of `graphIds` and `coverGlobal`, reused across calls. One
+    * per thread: Spark task threads build covers at once. `marks` is used
+    * by the ranges this thread runs, for any caller; the rest by the ranges
+    * of this thread's own calls, wherever they run.
     */
-  final class CoverScratch {
+  final class Scratch {
     /** Edge marks of one graph, all zero between uses. */
     var marks = new Array[Long](1)
-    private var buf = new Array[Int](64)
 
-    /** The output buffer, grown to at least `n` ints. */
-    def out(n: Int): Array[Int] = {
-      if (buf.length < n) buf = new Array[Int](math.max(n, 2 * buf.length))
-      buf
+    /** The output buffer, of the calling thread's calls. */
+    var buf = new Array[Int](64)
+
+    /** The node and database of the call in progress. */
+    var node: PatternNode = _
+    var db: GraphDb = _
+
+    /** Per range, where its output starts in `buf` and its length. */
+    private val slices = new Array[Int](2 * Ranges.max)
+
+    /** Grows `buf` to at least `n` ints. */
+    def grow(n: Int): Unit = if (buf.length < n) buf = new Array[Int](math.max(n, 2 * buf.length))
+
+    def slice(r: Int, start: Int, length: Int): Unit = { slices(2 * r) = start; slices(2 * r + 1) = length }
+
+    /** The slices of ranges `[0, count)`, range 0's at index 0, joined in
+      * range order into an exact-length array. Each slice drops its first
+      * value when it equals the last one kept: a graph whose embeddings
+      * two graph-id ranges share. Cover slices hold disjoint graphs, so
+      * they never drop one.
+      */
+    def joined(count: Int): Array[Int] = {
+      var m = slices(1)
+      var r = 1
+      while (r < count) {
+        var from = slices(2 * r)
+        var len = slices(2 * r + 1)
+        if (len > 0 && m > 0 && buf(from) == buf(m - 1)) { from += 1; len -= 1 }
+        System.arraycopy(buf, from, buf, m, len)
+        m += len
+        r += 1
+      }
+      java.util.Arrays.copyOf(buf, m)
+    }
+
+    /** Runs `loop` over `[0, n)` for `node` in ranges of scan items. */
+    def run(node: PatternNode, db: GraphDb, n: Int, loop: Ranges.Loop[Scratch]): Int = {
+      this.node = node
+      this.db = db
+      try Ranges.run(n, Ranges.Scan, this, loop)
+      finally { this.node = null; this.db = null }
     }
   }
 
-  val coverScratch: ThreadLocal[CoverScratch] = ThreadLocal.withInitial(() => new CoverScratch)
+  val scratch: ThreadLocal[Scratch] = ThreadLocal.withInitial(() => new Scratch)
 }
 
 /** Thrown when an enumeration-driven algorithm exceeds its deadline; the
@@ -188,12 +285,14 @@ final class TedTimeout(val elapsedMillis: Long) extends RuntimeException(s"deadl
   * canonical-code duplicate pruning — the substrate of ALL_g/ALL_t (gSpan
   * without support pruning) and FSG_g/FSG_t (with `minSupport`).
   *
-  * The loops that scale with the database run in ranges at once
-  * ([[Ranges]]): the roots' edge pass, `children`'s extension pass and the
-  * build of a child's embeddings. Each extension range fills its own table,
-  * and the tables are merged in range order, so every result equals the
-  * one-range loop's. The tables are the calling thread's, reused across
-  * calls, so enumerators on different threads share nothing. Not
+  * The loops whose cost grows with a node's embeddings run in ranges at
+  * once, cut by the work they hold ([[Ranges]]): the roots' edge pass and
+  * embeddings, `children`'s extension pass, the build of a child's
+  * embeddings, and each node's `graphIds` and `coverGlobal`. Each
+  * extension range fills its own table, and the tables are merged in range
+  * order, so every result equals the one-range loop's. The tables are the
+  * calling thread's, reused across calls, so enumerators on different
+  * threads share nothing. Not
   * thread-safe: `children` reuses one buffer for the children it keeps,
   * and hands IPS's lists over through the nodes.
   *
@@ -248,8 +347,8 @@ final class Enumerator(
 
   /** The roots' grouping loop, in an ordinary method rather than the lazy
     * val's initializer, where the JIT compiles it poorly. It runs in
-    * ranges of global edge ids. Each record is (graph, first endpoint,
-    * edge).
+    * ranges of global edge ids, and each root's embeddings are built in
+    * ranges of its records. Each record is (graph, first endpoint, edge).
     */
   private def buildRoots(): IndexedSeq[PatternNode] = {
     val t = ExtensionTable.fill(db.totalEdges, (t, from, until) => {
@@ -273,11 +372,16 @@ final class Enumerator(
     Iterator.range(0, t.numGroups).map { a =>
       val grp = order(a)
       val rec = t.records(grp)
-      val embs = Array.tabulate(rec.length / 3) { k =>
-        val gi = rec(3 * k); val u = rec(3 * k + 1); val e = rec(3 * k + 2)
-        val g = db.graphs(gi)
-        Emb(gi, Array(u, g.src(e) + g.dst(e) - u), Array(e))
-      }
+      val embs = new Array[Emb](rec.length / 3)
+      Ranges.run[Unit](embs.length, Ranges.Extend, (), (_, _, from, until) => {
+        var k = from
+        while (k < until) {
+          val gi = rec(3 * k); val u = rec(3 * k + 1); val e = rec(3 * k + 2)
+          val g = db.graphs(gi)
+          embs(k) = Emb(gi, Array(u, g.src(e) + g.dst(e) - u), Array(e))
+          k += 1
+        }
+      })
       new PatternNode(Vector(t.codeEdge(grp)), List(1, 0), 2, embs)
     }.filter(_.support >= minSupport).toIndexedSeq
   }
@@ -351,10 +455,11 @@ final class Enumerator(
 }
 
 /** Runs a loop over `[0, n)` cut into contiguous ranges, at once on the
-  * calling thread and the common fork-join pool. The rule: one range per
-  * [[MinItems]] items, at most [[max]] (the pool's parallelism plus the
-  * caller), at least one; below `2 * MinItems` items the one range is the
-  * whole loop on the caller.
+  * calling thread and the common fork-join pool. The rule cuts by the work
+  * a loop holds: `n` items of `cost` sixteenths of an extension each (an
+  * extension or embedding build costs [[Extend]], a graph-id or cover item
+  * [[Scan]]), one range per [[MinWork]], at most [[max]], at least one.
+  * Below `2 * MinWork` the one range is the whole loop on the caller.
   *
   * The caller claims ranges from a shared counter as the pool tasks do,
   * and waits only when none is left to claim, so it never waits on a range
@@ -370,21 +475,37 @@ private[enumeration] object Ranges {
     def apply(a: A, r: Int, from: Int, until: Int): Unit
   }
 
-  /** The fewest items worth a range of their own. */
-  val MinItems = 4096
+  /** The cost of one item of a loop that extends or builds an embedding. */
+  val Extend = 16
 
-  /** The most ranges: one per common-pool worker and one for the caller. */
-  val max: Int = ForkJoinPool.getCommonPoolParallelism + 1
+  /** The cost of one item of the graph-id or cover pass, which reads an
+    * embedding's graph or marks its few edges.
+    */
+  val Scan = 1
 
-  /** The number of ranges `run(n)` cuts `[0, n)` into. */
-  def count(n: Int): Int = math.max(1, math.min(n / MinItems, max))
+  /** The least work worth a range of its own: 512 extension items. */
+  val MinWork = 512 * Extend
+
+  /** The most ranges with a common pool of `parallelism` workers on `cpus`
+    * processors: one per worker and one for the caller, but no more than
+    * the processors, at least one.
+    */
+  def maxRanges(parallelism: Int, cpus: Int): Int = math.max(1, math.min(parallelism + 1, cpus))
+
+  val max: Int = maxRanges(ForkJoinPool.getCommonPoolParallelism, Runtime.getRuntime.availableProcessors)
+
+  /** The number of ranges `run(n, cost)` cuts `[0, n)` into. */
+  def count(n: Int, cost: Int): Int = math.max(1, math.min(n.toLong * cost / MinWork, max.toLong).toInt)
+
+  /** The first item of range `r` of `count` over `[0, n)`. */
+  def start(n: Int, count: Int, r: Int): Int = (n.toLong * r / count).toInt
 
   /** Runs `loop(a, r, from, until)` for each range r of `[0, n)`, and
     * returns the number of ranges once every one has ended. The first
     * exception a range throws is rethrown here.
     */
-  def run[A](n: Int, a: A, loop: Loop[A]): Int = {
-    val count = this.count(n)
+  def run[A](n: Int, cost: Int, a: A, loop: Loop[A]): Int = {
+    val count = this.count(n, cost)
     if (count == 1) loop(a, 0, 0, n)
     else {
       val job = new Job(n, count, a, loop)
@@ -401,13 +522,11 @@ private[enumeration] object Ranges {
     private val done = new CountDownLatch(count)
     private val failure = new AtomicReference[Throwable]
 
-    private def start(r: Int): Int = (n.toLong * r / count).toInt
-
     /** Claims and runs ranges until none is left. */
     def run(): Unit = {
       var r = next.getAndIncrement()
       while (r < count) {
-        try loop(a, r, start(r), start(r + 1))
+        try loop(a, r, start(n, count, r), start(n, count, r + 1))
         catch { case e: Throwable => failure.compareAndSet(null, e) }
         finally done.countDown()
         r = next.getAndIncrement()
@@ -648,7 +767,7 @@ private object ExtensionTable {
   def fill(n: Int, loop: Loop): ExtensionTable = {
     val ts = perThread.get
     ts.loop = loop
-    val count = try Ranges.run(n, ts, fillRange) finally ts.loop = null
+    val count = try Ranges.run(n, Ranges.Extend, ts, fillRange) finally ts.loop = null
     val t = ts.tables
     var r = 1
     while (r < count) { t(0).appendFrom(t(r)); r += 1 }

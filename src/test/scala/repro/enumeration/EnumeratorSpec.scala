@@ -377,32 +377,45 @@ class EnumeratorSpec extends AnyFunSuite {
   }
 
   test("Ranges cuts [0, n) into contiguous ranges by its rule, runs each once and rethrows a range's exception") {
-    assert(Ranges.max == ForkJoinPool.getCommonPoolParallelism + 1)
-    assert(Seq(0, 1, 2 * Ranges.MinItems - 1).forall(Ranges.count(_) == 1))
-    assert(Ranges.count(2 * Ranges.MinItems) == 2)
-    assert(Ranges.count(Int.MaxValue) == Ranges.max)
-    Seq(0, 1, 2 * Ranges.MinItems, 3 * Ranges.MinItems * Ranges.max + 7).foreach { n =>
-      val seen = new ConcurrentLinkedQueue[(Int, Int, Int)]
-      val count = Ranges.run[Unit](n, (), (_, r, from, until) => { seen.add((r, from, until)); () })
-      val ranges = seen.asScala.toSeq.sortBy(_._1)
-      assert(count == Ranges.count(n), s"n $n")
-      assert(ranges.map(_._1) == (0 until count), s"n $n")
-      assert(ranges.head._2 == 0 && ranges.last._3 == n, s"n $n")
-      ranges.zip(ranges.tail).foreach { case (a, b) => assert(a._3 == b._2, s"n $n") }
-      if (count > 1) assert(ranges.forall { case (_, from, until) => until - from >= Ranges.MinItems }, s"n $n")
+    assert(Ranges.max == Ranges.maxRanges(ForkJoinPool.getCommonPoolParallelism, Runtime.getRuntime.availableProcessors))
+    // A scan item weighs a sixteenth of an extension item.
+    assert(Ranges.MinWork / Ranges.Extend == 512 && Ranges.MinWork / Ranges.Scan == 8192)
+    Seq(Ranges.Extend, Ranges.Scan).foreach { cost =>
+      val perRange = Ranges.MinWork / cost
+      assert(Seq(0, 1, 2 * perRange - 1).forall(Ranges.count(_, cost) == 1), s"cost $cost")
+      assert(Ranges.count(2 * perRange, cost) == math.min(2, Ranges.max), s"cost $cost")
+      assert(Ranges.count(Int.MaxValue, cost) == Ranges.max, s"cost $cost")
+      Seq(0, 1, 2 * perRange, 3 * perRange * Ranges.max + 7).foreach { n =>
+        val seen = new ConcurrentLinkedQueue[(Int, Int, Int)]
+        val count = Ranges.run[Unit](n, cost, (), (_, r, from, until) => { seen.add((r, from, until)); () })
+        val ranges = seen.asScala.toSeq.sortBy(_._1)
+        assert(count == Ranges.count(n, cost), s"n $n, cost $cost")
+        assert(ranges.map(_._1) == (0 until count), s"n $n, cost $cost")
+        assert(ranges.head._2 == 0 && ranges.last._3 == n, s"n $n, cost $cost")
+        ranges.zip(ranges.tail).foreach { case (a, b) => assert(a._3 == b._2, s"n $n, cost $cost") }
+        assert(ranges.forall { case (r, from, _) => from == Ranges.start(n, count, r) }, s"n $n, cost $cost")
+        if (count > 1) assert(ranges.forall { case (_, from, until) => until - from >= perRange }, s"n $n, cost $cost")
+      }
     }
-    (0 until 2).foreach { bad =>
+    (0 until Ranges.count(Ranges.MinWork, 2)).foreach { bad =>
       val e = intercept[IllegalStateException] {
-        Ranges.run[Unit](2 * Ranges.MinItems, (), (_, r, _, _) => if (r == bad) throw new IllegalStateException(s"range $r"))
+        Ranges.run[Unit](Ranges.MinWork, 2, (), (_, r, _, _) => if (r == bad) throw new IllegalStateException(s"range $r"))
       }
       assert(e.getMessage == s"range $bad")
+    }
+  }
+
+  test("Ranges.maxRanges is the pool's workers plus the caller, at most the processors, at least one") {
+    Seq((1, 1, 1), (0, 1, 1), (1, 2, 2), (3, 4, 4), (3, 8, 4), (7, 4, 4), (15, 16, 16), (0, 4, 1)).foreach {
+      case (parallelism, cpus, expected) =>
+        assert(Ranges.maxRanges(parallelism, cpus) == expected, s"parallelism $parallelism, $cpus cpus")
     }
   }
 
   test("on a database large enough to split, roots, children and embeddings equal an eager reference") {
     val db = splitDb
     val en = new Enumerator(db, 3)
-    assert(Ranges.count(db.totalEdges) >= 2)
+    assert(Ranges.count(db.totalEdges, Ranges.Extend) >= 2)
     val roots = eagerRoots(db)
     assertMatches(db, Vector.empty, en.roots, roots, _ => true)
     var splitChildren = 0
@@ -411,8 +424,8 @@ class EnumeratorSpec extends AnyFunSuite {
     def go(p: PatternNode, embs: Seq[Emb]): Unit = if (p.numEdges < en.eMax) {
       val ref = eagerChildren(db, p, embs)
       val kids = en.children(p)
-      if (Ranges.count(embs.length) >= 2) splitChildren += 1
-      kids.foreach(c => if (Ranges.count(ref(c.code.last).length) >= 2) splitEmbeddings += 1)
+      if (Ranges.count(embs.length, Ranges.Extend) >= 2) splitChildren += 1
+      kids.foreach(c => if (Ranges.count(ref(c.code.last).length, Ranges.Extend) >= 2) splitEmbeddings += 1)
       assertMatches(db, p.code, kids, ref, ce => CanonicalCode.isMin(p.code :+ ce))
       kids.foreach(c => go(c, ref(c.code.last)))
     }
@@ -420,30 +433,116 @@ class EnumeratorSpec extends AnyFunSuite {
     assert(splitChildren > 0 && splitEmbeddings > 0)
   }
 
-  /** The nodes of `en` whose children split into ranges, down to two
-    * edges, in walk order.
+  /** The graph ids of `embs` (ordered by graph), by a plain loop. */
+  private def refIds(embs: Array[Emb]): Array[Int] = embs.iterator.map(_.graphIdx).distinct.toArray
+
+  /** The cover of `embs`, by a plain loop over one bitset of the whole
+    * database: the one-range reference, built without [[Ranges]].
+    */
+  private def refCover(db: GraphDb, embs: Array[Emb]): Array[Int] = {
+    val bits = new java.util.BitSet(db.totalEdges)
+    embs.foreach(e => e.eids.foreach(x => bits.set(db.edgeOffset(e.graphIdx) + x)))
+    bits.stream.toArray
+  }
+
+  /** Does the scan of `n` embeddings run in two or more ranges? */
+  private def scanSplits(n: Int): Boolean = Ranges.count(n, Ranges.Scan) >= 2
+
+  /** The nodes of `en` whose graph ids and covers split into ranges, down
+    * to two edges, in walk order.
     */
   private def splitNodes(en: Enumerator): IndexedSeq[PatternNode] =
-    en.roots.filter(r => Ranges.count(r.embeddings.length) >= 2).flatMap { r =>
-      r +: en.children(r).filter(c => Ranges.count(c.embeddings.length) >= 2)
+    en.roots.filter(r => scanSplits(r.embeddings.length)).flatMap { r =>
+      r +: en.children(r).filter(c => scanSplits(c.embeddings.length))
     }
 
   /** The children of `p` by key, with a hash of their graph ids, covers
-    * and embeddings.
+    * and embeddings; with `reference`, of the reference graph ids and
+    * covers of their embeddings instead.
     */
-  private def digest(db: GraphDb, kids: Seq[PatternNode]): Seq[(String, Int)] = kids.map { n =>
-    var h = java.util.Arrays.hashCode(n.graphIds)
-    h = 31 * h + java.util.Arrays.hashCode(n.coverGlobal(db))
+  private def digest(db: GraphDb, kids: Seq[PatternNode], reference: Boolean = false): Seq[(String, Int)] = kids.map { n =>
+    val ids = if (reference) refIds(n.embeddings) else n.graphIds
+    val cover = if (reference) refCover(db, n.embeddings) else n.coverGlobal(db)
+    var h = 31 * java.util.Arrays.hashCode(ids) + java.util.Arrays.hashCode(cover)
     n.embeddings.foreach { e =>
       h = 31 * (31 * (31 * h + e.graphIdx) + java.util.Arrays.hashCode(e.vmap)) + java.util.Arrays.hashCode(e.eids)
     }
     n.key -> h
   }
 
+  /** Compares the graph ids and covers of every node of `en`'s walk with
+    * the one-range reference: each root, each child before its embeddings
+    * are built and a node made from those embeddings. Returns, per kind,
+    * how many ran in two or more ranges, and under "emptied" how many of
+    * those had a range left empty once its ends moved to graph starts.
+    */
+  private def checkScans(db: GraphDb, en: Enumerator): Map[String, Int] = {
+    val splits = mutable.Map.empty[String, Int].withDefaultValue(0)
+    def check(kind: String, key: String, ids: Array[Int], cover: Array[Int], embs: Array[Emb]): Unit = {
+      assert(ids.toSeq == refIds(embs).toSeq, s"graph ids of $kind $key")
+      assert(cover.toSeq == refCover(db, embs).toSeq, s"cover of $kind $key")
+      val n = embs.length
+      val count = Ranges.count(n, Ranges.Scan)
+      if (count >= 2) {
+        splits(kind) += 1
+        def snap(k: Int): Int = {
+          var a = k
+          while (a > 0 && a < n && embs(a).graphIdx == embs(a - 1).graphIdx) a += 1
+          a
+        }
+        val ends = (0 to count).map(r => snap(Ranges.start(n, count, r)))
+        if (ends.zip(ends.tail).exists { case (a, b) => a == b }) splits("emptied") += 1
+      }
+    }
+    en.roots.foreach(r => check("root", r.key, r.graphIds, r.coverGlobal(db), r.embeddings))
+    walk(en) { (_, c) =>
+      val ids = c.graphIds
+      val cover = c.coverGlobal(db)
+      check("child", c.key, ids, cover, c.embeddings)
+      val built = new PatternNode(c.code, c.rmPath, c.nVerts, c.embeddings)
+      check("built", c.key, built.graphIds, built.coverGlobal(db), c.embeddings)
+    }
+    splits.toMap
+  }
+
+  test("on a database large enough to split, graph ids and covers equal a one-range reference") {
+    val splits = checkScans(splitDb, new Enumerator(splitDb, 3))
+    Seq("root", "child", "built").foreach(kind => assert(splits.getOrElse(kind, 0) > 0, s"no $kind split: $splits"))
+  }
+
+  /** Three small graphs, a 50 x 50 grid of 4,900 edges and three more
+    * small graphs, every label 0: the grid's embeddings of a pattern fill
+    * several ranges.
+    */
+  private lazy val gridDb = {
+    val side = 50
+    val grid = LabeledGraph(3, Seq.fill(side * side)(0),
+      for {
+        r <- 0 until side; c <- 0 until side; (dr, dc) <- Seq((0, 1), (1, 0))
+        if r + dr < side && c + dc < side
+      } yield (r * side + c, (r + dr) * side + c + dc, 0))
+    // A 4-cycle with a pendant edge.
+    def small(id: Int) = LabeledGraph(id, Seq.fill(5)(0), Seq((0, 1, 0), (1, 2, 0), (2, 3, 0), (3, 0, 0), (0, 4, 0)))
+    new GraphDb((0 until 3).map(small) ++ Seq(grid) ++ (4 until 7).map(small))
+  }
+
+  test("graph ids and covers equal the reference when one graph's embeddings fill several ranges and leave some empty") {
+    val splits = checkScans(gridDb, new Enumerator(gridDb, 3))
+    Seq("child", "built", "emptied").foreach(kind => assert(splits.getOrElse(kind, 0) > 0, s"no $kind split: $splits"))
+  }
+
   test("four enumerators expanding one large database at once give the sequential children") {
     val db = splitDb
-    val expected = { val en = new Enumerator(db, 3); splitNodes(en).map(p => digest(db, en.children(p))) }
-    assert(expected.length >= 2)
+    // The reference digests, and the split nodes' reference graph ids and
+    // covers.
+    val (expected, expectedNodes, splitKids) = {
+      val en = new Enumerator(db, 3)
+      val nodes = splitNodes(en)
+      val kids = nodes.map(en.children)
+      (kids.map(digest(db, _, reference = true)), nodes.map(p => digest(db, Seq(p), reference = true)),
+        kids.flatten.count(c => scanSplits(c.embeddings.length)))
+    }
+    assert(expected.length >= 2 && splitKids > 0)
     // Each thread expands every split node 8 times, from its own offset,
     // so that the threads expand different nodes at once.
     val errors = new ConcurrentLinkedQueue[Throwable]
@@ -454,6 +553,7 @@ class EnumeratorSpec extends AnyFunSuite {
           start.await()
           val en = new Enumerator(db, 3)
           val nodes = splitNodes(en)
+          nodes.indices.foreach(a => assert(digest(db, Seq(nodes(a))) == expectedNodes(a), s"thread $t, node ${nodes(a).key}"))
           (0 until 8 * nodes.length).foreach { i =>
             val a = (t * nodes.length / 4 + i) % nodes.length
             assert(digest(db, en.children(nodes(a))) == expected(a), s"thread $t, node ${nodes(a).key}")
@@ -471,7 +571,7 @@ class EnumeratorSpec extends AnyFunSuite {
     val used = new ConcurrentLinkedQueue[(ExtensionTable, Thread)]
     (1 to 5).foreach { _ =>
       // Each range sleeps, so that the pool's workers claim some.
-      ExtensionTable.fill(Ranges.max * Ranges.MinItems, (t, _, _) => {
+      ExtensionTable.fill(Ranges.max * Ranges.MinWork / Ranges.Extend, (t, _, _) => {
         used.add((t, Thread.currentThread)); Thread.sleep(5)
       })
     }
@@ -483,8 +583,9 @@ class EnumeratorSpec extends AnyFunSuite {
     val db = splitDb
     val en = new Enumerator(db, 3)
     val root = en.roots.maxBy(_.embeddings.length)
-    assert(Ranges.count(root.embeddings.length) >= 2)
+    assert(scanSplits(root.embeddings.length))
     val expected = en.children(root)
+    assert(expected.exists(c => scanSplits(c.embeddings.length)))
     val workers = ForkJoinPool.getCommonPoolParallelism
     val blocked = new CountDownLatch(workers)
     val release = new CountDownLatch(1)
@@ -495,10 +596,15 @@ class EnumeratorSpec extends AnyFunSuite {
       assert(blocked.await(30, TimeUnit.SECONDS), "the pool's workers did not all start")
       val call = new FutureTask(() => {
         val fresh = new Enumerator(db, 3)
-        fresh.children(fresh.roots.maxBy(_.embeddings.length))
+        val r = fresh.roots.maxBy(_.embeddings.length)
+        (r.graphIds, r.coverGlobal(db), fresh.children(r))
       })
       new Thread(call).start()
-      assertSameChildren(db, call.get(60, TimeUnit.SECONDS), expected)
+      val (ids, cover, kids) = call.get(60, TimeUnit.SECONDS)
+      assert(ids.toSeq == refIds(root.embeddings).toSeq)
+      assert(cover.toSeq == refCover(db, root.embeddings).toSeq)
+      assertSameChildren(db, kids, expected)
+      assert(digest(db, kids) == digest(db, expected, reference = true))
     } finally release.countDown()
   }
 
@@ -551,9 +657,10 @@ class EnumeratorSpec extends AnyFunSuite {
   test("a pattern node requires its embeddings in graph order") {
     val t = LabeledGraph(0, Seq(0, 0), Seq((0, 1, 0)))
     val root = new Enumerator(new GraphDb(IndexedSeq(t, t)), 1).roots.head
-    intercept[IllegalArgumentException] {
+    val e = intercept[IllegalArgumentException] {
       new PatternNode(root.code, root.rmPath, root.nVerts, root.embeddings.reverse)
     }
+    assert(e.getMessage.contains("embeddings must be ordered by graphIdx"))
   }
 
   test("deadline aborts with TedTimeout") {
