@@ -7,38 +7,44 @@ import repro.graph._
 
 /** One embedding of a pattern into database graph `graphIdx`:
   * `vmap(p)` = data vertex imaging pattern vertex p, `eids(t)` = data edge
-  * id imaging the t-th code edge.
+  * id imaging the t-th code edge. Only the view [[PatternNode.embeddings]]
+  * and tests build these; the enumerator keeps embeddings as flat rows.
   */
 final case class Emb(graphIdx: Int, vmap: Array[Int], eids: Array[Int])
 
 /** A node of the gSpan search space (Figure 5 of the paper): a pattern in
   * canonical (minimum) DFS code form together with every embedding into
-  * the database, grouped by graph in ascending `graphIdx` order (the order
-  * the enumerator produces them in). Cover sets (Definition 2) fall out of
-  * the embeddings.
+  * the database, grouped by graph in ascending graph order (the order the
+  * enumerator produces them in). Cover sets (Definition 2) fall out of the
+  * embeddings.
   *
-  * A node the enumerator makes as a child holds its parent's embeddings
-  * and one extension record per embedding instead: the parent embedding's
-  * index, the new data vertex (-1 for a backward edge) and the new data
-  * edge. `graphIds` and `coverGlobal` read the records; `embeddings` builds
-  * the embeddings on first use and then drops the parent's.
+  * Embedding k is a row of three `Int` arrays: its graph `graphs(k)`, its
+  * vertex map at `vmaps(k * nVerts)` and its edge ids at
+  * `eids(k * numEdges)`. No object is made per embedding.
+  *
+  * A node the enumerator makes as a child holds, until it is built, its
+  * parent's three arrays and one extension record per embedding instead:
+  * the parent's row, the new data vertex (-1 for a backward edge) and the
+  * new data edge. `graphIds` and `coverGlobal` read the records; `build`
+  * makes the rows on first use and then drops the parent's arrays.
   */
-final class PatternNode private[enumeration] (
-    val code: Vector[CodeEdge],
-    val rmPath: List[Int],
-    val nVerts: Int,
-    private var built: Array[Emb],
-    private var parent: Array[Emb],
-    private var ext: Array[Int],
-) {
+final class PatternNode private[enumeration] (val code: Vector[CodeEdge], val rmPath: List[Int], val nVerts: Int,
+    // The rows, once built.
+    private[enumeration] var graphs: Array[Int], private[enumeration] var vmaps: Array[Int], private[enumeration] var eids: Array[Int]) {
+  // Until the build: the parent's rows, at strides one edge and, for a
+  // forward edge, one vertex below this node's, and the records.
+  private var pGraphs, pVmaps, pEids, ext: Array[Int] = _
 
-  private[enumeration] def this(code: Vector[CodeEdge], rmPath: List[Int], nVerts: Int, embeddings: Array[Emb]) = {
-    this(code, rmPath, nVerts, embeddings, null, null)
-    var i = 1
-    while (i < embeddings.length) {
-      require(embeddings(i - 1).graphIdx <= embeddings(i).graphIdx, "embeddings must be ordered by graphIdx")
-      i += 1
-    }
+  /** The child of the built node `parent` by the records `ext`. */
+  private[enumeration] def this(code: Vector[CodeEdge], rmPath: List[Int], nVerts: Int, parent: PatternNode, ext: Array[Int]) = {
+    this(code, rmPath, nVerts, null, null, null)
+    pGraphs = parent.graphs; pVmaps = parent.vmaps; pEids = parent.eids; this.ext = ext
+  }
+
+  /** The node of the embeddings `embs`, for tests. */
+  private[enumeration] def this(code: Vector[CodeEdge], rmPath: List[Int], nVerts: Int, embs: Array[Emb]) = {
+    this(code, rmPath, nVerts, embs.map(_.graphIdx), embs.flatMap(_.vmap), embs.flatMap(_.eids))
+    require((1 until graphs.length).forall(k => graphs(k - 1) <= graphs(k)), "embeddings must be ordered by graphIdx")
   }
 
   def numEdges: Int = code.length
@@ -50,48 +56,60 @@ final class PatternNode private[enumeration] (
 
   lazy val key: String = DfsCode.key(code)
 
-  /** The embeddings, built from the parent's on first use, in ranges
-    * ([[Ranges]]) that fill disjoint slices of the array.
+  /** Builds the rows from the parent's on first call, in ranges
+    * ([[Ranges]]) that fill disjoint slices of them.
     */
-  def embeddings: Array[Emb] = {
-    if (parent != null) {
-      // `built` fills while `parent` and `ext` still hold what it reads.
-      built = new Array[Emb](ext.length / 3)
-      try Ranges.run(built.length, Ranges.Extend, this, PatternNode.buildRange)
-      catch { case e: Throwable => built = null; throw e }
-      parent = null
-      ext = null
-    }
-    built
+  private[enumeration] def build(): Unit = if (ext != null) {
+    // The rows fill while the parent's arrays and `ext` still hold what
+    // they read.
+    val n = ext.length / 3
+    graphs = new Array[Int](n); vmaps = new Array[Int](n * nVerts); eids = new Array[Int](n * numEdges)
+    try Ranges.run(n, Ranges.Extend, this, PatternNode.buildRange)
+    catch { case e: Throwable => graphs = null; vmaps = null; eids = null; throw e }
+    pGraphs = null; pVmaps = null; pEids = null; ext = null
   }
 
-  /** Builds embeddings `[from, until)` into `built`. */
+  /** Builds rows `[from, until)`: two copies from the parent's row and the
+    * record's vertex and edge.
+    */
   private def buildRange(from: Int, until: Int): Unit = {
-    val out = built
-    val parent = this.parent
+    val graphs = this.graphs
+    val vmaps = this.vmaps
+    val eids = this.eids
     val ext = this.ext
     val nv = nVerts
     val ne = numEdges
+    val pnv = if (code.last.isForward) nv - 1 else nv
     var k = from
     while (k < until) {
-      val pe = parent(ext(3 * k))
-      val w = ext(3 * k + 1)
-      val vmap =
-        if (w < 0) pe.vmap
-        else { val a = java.util.Arrays.copyOf(pe.vmap, nv); a(nv - 1) = w; a }
-      val eids = java.util.Arrays.copyOf(pe.eids, ne)
-      eids(ne - 1) = ext(3 * k + 2)
-      out(k) = Emb(pe.graphIdx, vmap, eids)
+      val p = ext(3 * k)
+      graphs(k) = pGraphs(p)
+      System.arraycopy(pVmaps, p * pnv, vmaps, k * nv, pnv)
+      if (pnv < nv) vmaps(k * nv + pnv) = ext(3 * k + 1)
+      System.arraycopy(pEids, p * (ne - 1), eids, k * ne, ne - 1)
+      eids(k * ne + ne - 1) = ext(3 * k + 2)
       k += 1
     }
   }
 
-  private def numEmbeddings: Int = if (parent == null) built.length else ext.length / 3
+  private var view: Array[Emb] = _
 
-  /** Embedding `k`, or before `embeddings` is built, the parent embedding
-    * it extends.
+  /** The embeddings as [[Emb]]s, copied from the rows on first read and
+    * then cached. The search reads the rows, never this view.
     */
-  @inline private def embOrParent(k: Int): Emb = if (parent == null) built(k) else parent(ext(3 * k))
+  def embeddings: Array[Emb] = {
+    if (view == null) {
+      build()
+      view = Array.tabulate(graphs.length)(k => Emb(graphs(k), java.util.Arrays.copyOfRange(vmaps, k * nVerts, (k + 1) * nVerts),
+        java.util.Arrays.copyOfRange(eids, k * numEdges, (k + 1) * numEdges)))
+    }
+    view
+  }
+
+  private def numEmbeddings: Int = if (ext == null) graphs.length else ext.length / 3
+
+  /** The graph of embedding `k`, built or not. */
+  @inline private def graphOf(k: Int): Int = if (ext == null) graphs(k) else pGraphs(ext(3 * k))
 
   /** The first embedding index at or after `k` that starts a graph's run
     * of embeddings (0 and `numEmbeddings` count as starts).
@@ -99,14 +117,14 @@ final class PatternNode private[enumeration] (
   private def graphStart(k: Int): Int = {
     val n = numEmbeddings
     if (k == 0 || k >= n) return math.min(k, n)
-    val g = embOrParent(k - 1).graphIdx
-    if (embOrParent(k).graphIdx != g) return k
+    val g = graphOf(k - 1)
+    if (graphOf(k) != g) return k
     // The first index in (k, n] whose graph is past g.
     var lo = k
     var hi = n
     while (hi - lo > 1) {
       val mid = (lo + hi) >>> 1
-      if (embOrParent(mid).graphIdx == g) lo = mid else hi = mid
+      if (graphOf(mid) == g) lo = mid else hi = mid
     }
     hi
   }
@@ -128,14 +146,11 @@ final class PatternNode private[enumeration] (
     */
   private def graphIdsRange(s: PatternNode.Scratch, r: Int, from: Int, until: Int): Unit = {
     val out = s.buf
-    val built = this.built
-    val parent = this.parent
-    val ext = this.ext
     var m = from
     var last = -1
     var k = from
     while (k < until) {
-      val gi = if (parent == null) built(k).graphIdx else parent(ext(3 * k)).graphIdx
+      val gi = graphOf(k)
       if (gi != last) { out(m) = gi; m += 1; last = gi }
       k += 1
     }
@@ -163,7 +178,7 @@ final class PatternNode private[enumeration] (
       val s = PatternNode.scratch.get
       // The edges of the graphs from embedding 0's to the last one's, which
       // hold every range's output.
-      val span = if (n == 0) 0 else db.edgeOffset(embOrParent(n - 1).graphIdx + 1) - db.edgeOffset(embOrParent(0).graphIdx)
+      val span = if (n == 0) 0 else db.edgeOffset(graphOf(n - 1) + 1) - db.edgeOffset(graphOf(0))
       s.grow(span)
       coverCache = s.joined(s.run(this, db, n, PatternNode.coverRange))
     }
@@ -178,22 +193,24 @@ final class PatternNode private[enumeration] (
     val out = s.buf
     val until = graphStart(until0)
     var k = graphStart(from0)
-    val start = if (k < until) db.edgeOffset(embOrParent(k).graphIdx) - db.edgeOffset(embOrParent(0).graphIdx) else 0
-    // Before `embeddings` is built, embedding k is a parent embedding
-    // plus edge ext(3k + 2).
+    val start = if (k < until) db.edgeOffset(graphOf(k)) - db.edgeOffset(graphOf(0)) else 0
+    // Before the build, embedding k is the parent's row ext(3k) plus edge
+    // ext(3k + 2).
     val ext = this.ext
+    val rows = if (ext == null) eids else pEids
+    val ne = if (ext == null) numEdges else numEdges - 1
     val own = PatternNode.scratch.get
     var marks = own.marks
     var m = start
     while (k < until) {
-      val gi = embOrParent(k).graphIdx
+      val gi = graphOf(k)
       val off = db.edgeOffset(gi)
       val words = (db.edgeOffset(gi + 1) - off + 63) >>> 6
       if (marks.length < words) { marks = new Array[Long](words); own.marks = marks }
-      while (k < until && embOrParent(k).graphIdx == gi) {
-        val eids = embOrParent(k).eids
-        var t = 0
-        while (t < eids.length) { marks(eids(t) >>> 6) |= 1L << eids(t); t += 1 }
+      while (k < until && graphOf(k) == gi) {
+        var t = (if (ext == null) k else ext(3 * k)) * ne
+        val end = t + ne
+        while (t < end) { val e = rows(t); marks(e >>> 6) |= 1L << e; t += 1 }
         if (ext != null) { val e = ext(3 * k + 2); marks(e >>> 6) |= 1L << e }
         k += 1
       }
@@ -322,18 +339,20 @@ final class Enumerator(
   private var kidBuf = new Array[PatternNode](16)
 
   // The node `children` is extending, for its extension ranges.
-  private var expanding: PatternNode = _
+  private[enumeration] var expanding: PatternNode = _
   private val extendRange: ExtensionTable.Loop = (t, from, until) => {
     val p = expanding
-    val embs = p.embeddings
+    val pGraphs = p.graphs
+    val vmaps = p.vmaps
+    val eids = p.eids
     val rmPath = p.rmPath
-    val nVerts = p.nVerts
+    val nv = p.nVerts
+    val ne = p.numEdges
     val graphs = db.graphs
     var k = from
     while (k < until) {
-      val emb = embs(k)
       t.source = k
-      RightMost.extend(graphs(emb.graphIdx), rmPath, nVerts, emb.vmap, emb.eids, t)
+      RightMost.extend(graphs(pGraphs(k)), rmPath, nv, vmaps, k * nv, eids, k * ne, ne, t)
       k += 1
     }
   }
@@ -347,8 +366,8 @@ final class Enumerator(
 
   /** The roots' grouping loop, in an ordinary method rather than the lazy
     * val's initializer, where the JIT compiles it poorly. It runs in
-    * ranges of global edge ids, and each root's embeddings are built in
-    * ranges of its records. Each record is (graph, first endpoint, edge).
+    * ranges of global edge ids, and each root's rows are built in ranges
+    * of its records. Each record is (graph, first endpoint, edge).
     */
   private def buildRoots(): IndexedSeq[PatternNode] = {
     val t = ExtensionTable.fill(db.totalEdges, (t, from, until) => {
@@ -372,17 +391,18 @@ final class Enumerator(
     Iterator.range(0, t.numGroups).map { a =>
       val grp = order(a)
       val rec = t.records(grp)
-      val embs = new Array[Emb](rec.length / 3)
-      Ranges.run[Unit](embs.length, Ranges.Extend, (), (_, _, from, until) => {
+      val n = rec.length / 3
+      val (graphs, vmaps, eids) = (new Array[Int](n), new Array[Int](2 * n), new Array[Int](n))
+      Ranges.run[Unit](n, Ranges.Extend, (), (_, _, from, until) => {
         var k = from
         while (k < until) {
           val gi = rec(3 * k); val u = rec(3 * k + 1); val e = rec(3 * k + 2)
           val g = db.graphs(gi)
-          embs(k) = Emb(gi, Array(u, g.src(e) + g.dst(e) - u), Array(e))
+          graphs(k) = gi; vmaps(2 * k) = u; vmaps(2 * k + 1) = g.src(e) + g.dst(e) - u; eids(k) = e
           k += 1
         }
       })
-      new PatternNode(Vector(t.codeEdge(grp)), List(1, 0), 2, embs)
+      new PatternNode(Vector(t.codeEdge(grp)), List(1, 0), 2, graphs, vmaps, eids)
     }.filter(_.support >= minSupport).toIndexedSeq
   }
 
@@ -402,28 +422,27 @@ final class Enumerator(
     * minimal (gSpan dedup). Both checks run on the grouped extension
     * records, the minimality check on the group's tuple as `Int`s, so a
     * rejected extension allocates nothing. A kept child copies only its
-    * records and builds its embeddings when they are read. Does not check
+    * records and builds its rows when they are read. Does not check
     * `eMax` — callers stop descending at `numEdges == eMax`.
     */
   def children(p: PatternNode): IndexedSeq[PatternNode] = {
     checkDeadline()
     val kept = p.kept
     if (kept != null) { p.kept = null; return kept }
-    val embs = p.embeddings
+    p.build()
     expanding = p
-    val t = ExtensionTable.fill(embs.length, extendRange)
-    expanding = null
+    val t = try ExtensionTable.fill(p.graphs.length, extendRange) finally expanding = null
     val order = t.sortedGroups()
     if (kidBuf.length < t.numGroups) kidBuf = new Array[PatternNode](math.max(t.numGroups, 2 * kidBuf.length))
     var n = 0
     var a = 0
     while (a < t.numGroups) {
       val grp = order(a)
-      if ((minSupport <= 1 || t.support(grp, embs) >= minSupport) && t.isMin(grp, p.code, p.rmPath)) {
+      if ((minSupport <= 1 || t.support(grp, p.graphs) >= minSupport) && t.isMin(grp, p.code, p.rmPath)) {
         val ce = t.codeEdge(grp)
         val rm = if (ce.isForward) DfsCode.extendRmPath(p.rmPath, ce) else p.rmPath
         val nv = if (ce.isForward) p.nVerts + 1 else p.nVerts
-        kidBuf(n) = new PatternNode(p.code :+ ce, rm, nv, null, embs, t.records(grp))
+        kidBuf(n) = new PatternNode(p.code :+ ce, rm, nv, p, t.records(grp))
         n += 1
       }
       a += 1
@@ -703,14 +722,14 @@ private final class ExtensionTable extends RightMost.Sink {
   }
 
   /** Distinct graphs among group `g`'s records, whose sources index
-    * `embs` (ordered by graph).
+    * `graphs` (ascending).
     */
-  def support(g: Int, embs: Array[Emb]): Int = {
+  def support(g: Int, graphs: Array[Int]): Int = {
     var n = 0
     var last = -1
     var r = heads(g)
     while (r >= 0) {
-      val gi = embs(recs(4 * r)).graphIdx
+      val gi = graphs(recs(4 * r))
       if (gi != last) { n += 1; last = gi }
       r = recs(4 * r + 3)
     }

@@ -15,15 +15,10 @@ object RightMost {
     def extension(i: Int, j: Int, li: Int, le: Int, lj: Int, w: Int, e: Int): Unit
   }
 
-  @inline private def mapped(vmap: Array[Int], w: Int): Boolean = {
-    var i = 0
-    while (i < vmap.length) { if (vmap(i) == w) return true; i += 1 }
-    false
-  }
-
-  @inline private def usesEdge(eids: Array[Int], e: Int): Boolean = {
-    var i = 0
-    while (i < eids.length) { if (eids(i) == e) return true; i += 1 }
+  /** Does `a(from until until)` hold `x`? */
+  @inline private def holds(a: Array[Int], from: Int, until: Int, x: Int): Boolean = {
+    var i = from
+    while (i < until) { if (a(i) == x) return true; i += 1 }
     false
   }
 
@@ -44,27 +39,35 @@ object RightMost {
     * neighbor in adjacency order, introducing pattern vertex `nVerts`.
     */
   def extend(g: LabeledGraph, rmPath: List[Int], nVerts: Int, vmap: Array[Int], eids: Array[Int],
-             sink: Sink): Unit = {
+             sink: Sink): Unit =
+    extend(g, rmPath, nVerts, vmap, 0, eids, 0, eids.length, sink)
+
+  /** [[extend]] of the embedding in a row of flat arrays: its vertex map
+    * is `vmaps(vOff until vOff + nVerts)`, its edge ids
+    * `eids(eOff until eOff + nEdges)`.
+    */
+  def extend(g: LabeledGraph, rmPath: List[Int], nVerts: Int, vmaps: Array[Int], vOff: Int,
+             eids: Array[Int], eOff: Int, nEdges: Int, sink: Sink): Unit = {
     val vl = g.vertexLabels
     val el = g.edgeLabels
     val r  = rmPath.head
-    val fr = vmap(r)
+    val fr = vmaps(vOff + r)
     var xs = rmPath.tail
     while (xs.nonEmpty) {
       val x = xs.head
-      val e = g.edgeBetween(fr, vmap(x))
-      if (e >= 0 && !usesEdge(eids, e)) sink.extension(r, x, vl(fr), el(e), vl(vmap(x)), -1, e)
+      val e = g.edgeBetween(fr, vmaps(vOff + x))
+      if (e >= 0 && !holds(eids, eOff, eOff + nEdges, e)) sink.extension(r, x, vl(fr), el(e), vl(vmaps(vOff + x)), -1, e)
       xs = xs.tail
     }
     xs = rmPath
     while (xs.nonEmpty) {
       val x  = xs.head
-      val fx = vmap(x)
+      val fx = vmaps(vOff + x)
       var a = g.adjStart(fx)
       val end = g.adjStart(fx + 1)
       while (a < end) {
         val w = g.adjVert(a)
-        if (!mapped(vmap, w)) {
+        if (!holds(vmaps, vOff, vOff + nVerts, w)) {
           val e = g.adjEdge(a)
           sink.extension(x, nVerts, vl(fx), el(e), vl(w), w, e)
         }

@@ -579,6 +579,108 @@ class EnumeratorSpec extends AnyFunSuite {
     used.asScala.foreach { case (t, th) => assert(own.exists(_ eq t), s"a table of ${th.getName}") }
   }
 
+  test("split graph ids and covers write only to the calling thread's buffer and mark in the running thread's bitset") {
+    val db = splitDb
+    // The reference: the largest root and a child whose scans split, by
+    // index, from another enumerator.
+    val ref = new Enumerator(db, 3)
+    val a = ref.roots.indices.maxBy(ref.roots(_).embeddings.length)
+    val refKids = ref.children(ref.roots(a))
+    val b = refKids.indexWhere(c => scanSplits(c.embeddings.length))
+    assert(scanSplits(ref.roots(a).embeddings.length) && b >= 0)
+    val en = new Enumerator(db, 3)
+    val root = en.roots(a)
+    val child = en.children(root)(b) // not built: its scans read the records
+    val caller = Thread.currentThread
+    val s = PatternNode.scratch.get
+    val clean = s.marks
+    // The caller's bitset while a range runs elsewhere: every bit set, and
+    // wide enough for any graph, so a range that marks in it goes wrong.
+    val poison = Array.fill((db.graphs.map(_.numEdges).max + 63) / 64)(-1L)
+    val lock = new Object
+    var onWorker = 0
+    // The ranges run one at a time. The caller's ranges sleep with its
+    // clean bitset, so that the pool's workers claim the others.
+    def wrap(loop: Ranges.Loop[PatternNode.Scratch]): Ranges.Loop[PatternNode.Scratch] = (sc, r, from, until) =>
+      lock.synchronized {
+        if (Thread.currentThread eq caller) {
+          s.marks = clean; loop(sc, r, from, until); clean.foreach(w => assert(w == 0L)); s.marks = poison
+          Thread.sleep(5)
+        } else {
+          val own = PatternNode.scratch.get
+          val buf = own.buf.clone
+          loop(sc, r, from, until)
+          assert(java.util.Arrays.equals(own.buf, buf), s"range $r wrote to ${Thread.currentThread.getName}'s buffer")
+          onWorker += 1
+        }
+      }
+    def scan(node: PatternNode, n: Int, loop: Ranges.Loop[PatternNode.Scratch]): Array[Int] = {
+      s.grow(db.totalEdges)
+      s.marks = poison
+      try s.joined(s.run(node, db, n, wrap(loop))) finally s.marks = clean
+    }
+    (1 to 5).foreach { _ =>
+      Seq((root, ref.roots(a)), (child, refKids(b))).foreach { case (node, r) =>
+        val n = r.embeddings.length
+        assert(scan(node, n, PatternNode.graphIdsRange).toSeq == refIds(r.embeddings).toSeq, node.key)
+        assert(scan(node, n, PatternNode.coverRange).toSeq == refCover(db, r.embeddings).toSeq, node.key)
+        assert(poison.forall(_ == -1L), s"a range marked in the caller's bitset, ${node.key}")
+      }
+    }
+    assert(onWorker > 0, "no range ran on a pool worker")
+  }
+
+  test("RightMost.extend at a row offset gives the array form's extensions of the copied row, in order") {
+    var rows = 0
+    TestGraphs.randomDbs(31).foreach { db =>
+      enumerate(db, 3).foreach { n =>
+        n.build()
+        val (nv, ne) = (n.nVerts, n.numEdges)
+        n.graphs.indices.foreach { k =>
+          def extensions(f: RightMost.Sink => Unit): Seq[Seq[Int]] = {
+            val out = mutable.ArrayBuffer.empty[Seq[Int]]
+            f((i, j, li, le, lj, w, e) => out += Seq(i, j, li, le, lj, w, e))
+            out.toSeq
+          }
+          val g = db.graphs(n.graphs(k))
+          val atOffset = extensions(RightMost.extend(g, n.rmPath, nv, n.vmaps, k * nv, n.eids, k * ne, ne, _))
+          val copied = extensions(RightMost.extend(g, n.rmPath, nv, n.vmaps.slice(k * nv, (k + 1) * nv),
+            n.eids.slice(k * ne, (k + 1) * ne), _))
+          assert(atOffset == copied, s"${n.key} row $k")
+          if (k > 0 && atOffset.nonEmpty) rows += 1
+        }
+      }
+    }
+    assert(rows > 0)
+  }
+
+  test("the embeddings view is built once, and its rows equal the node's flat rows") {
+    TestGraphs.randomDbs(32).foreach { db =>
+      val en = new Enumerator(db, 4)
+      def check(n: PatternNode): Unit = {
+        val view = n.embeddings
+        assert(n.embeddings eq view, n.key)
+        val (nv, ne) = (n.nVerts, n.numEdges)
+        assert(view.length == n.graphs.length && n.vmaps.length == nv * view.length && n.eids.length == ne * view.length, n.key)
+        view.indices.foreach { k =>
+          val e = view(k)
+          assert(e.graphIdx == n.graphs(k) && e.vmap.toSeq == n.vmaps.slice(k * nv, (k + 1) * nv).toSeq &&
+            e.eids.toSeq == n.eids.slice(k * ne, (k + 1) * ne).toSeq, s"${n.key} row $k")
+        }
+      }
+      en.roots.foreach(check)
+      walk(en)((_, c) => check(c))
+    }
+  }
+
+  test("children clears the node it expands when the extension pass throws") {
+    val en = new Enumerator(SampleDb.db, 3)
+    val root = en.roots.head
+    root.vmaps = new Array[Int](0) // the pass reads past its end
+    intercept[ArrayIndexOutOfBoundsException](en.children(root))
+    assert(en.expanding == null)
+  }
+
   test("roots and children on a large node finish while every common-pool worker is blocked") {
     val db = splitDb
     val en = new Enumerator(db, 3)
