@@ -28,7 +28,7 @@ final case class Emb(graphIdx: Int, vmap: Array[Int], eids: Array[Int])
   * new data edge. `graphIds` and `coverGlobal` read the records; `build`
   * makes the rows on first use and then drops the parent's arrays.
   */
-final class PatternNode private[enumeration] (val code: Vector[CodeEdge], val rmPath: List[Int], val nVerts: Int,
+final class PatternNode private[enumeration] (val code: Vector[CodeEdge], val rmPath: List[Int],
     // The rows, once built.
     private[enumeration] var graphs: Array[Int], private[enumeration] var vmaps: Array[Int], private[enumeration] var eids: Array[Int]) {
   // Until the build: the parent's rows, at strides one edge and, for a
@@ -36,16 +36,19 @@ final class PatternNode private[enumeration] (val code: Vector[CodeEdge], val rm
   private var pGraphs, pVmaps, pEids, ext: Array[Int] = _
 
   /** The child of the built node `parent` by the records `ext`. */
-  private[enumeration] def this(code: Vector[CodeEdge], rmPath: List[Int], nVerts: Int, parent: PatternNode, ext: Array[Int]) = {
-    this(code, rmPath, nVerts, null, null, null)
+  private[enumeration] def this(code: Vector[CodeEdge], rmPath: List[Int], parent: PatternNode, ext: Array[Int]) = {
+    this(code, rmPath, null, null, null)
     pGraphs = parent.graphs; pVmaps = parent.vmaps; pEids = parent.eids; this.ext = ext
   }
 
   /** The node of the embeddings `embs`, for tests. */
-  private[enumeration] def this(code: Vector[CodeEdge], rmPath: List[Int], nVerts: Int, embs: Array[Emb]) = {
-    this(code, rmPath, nVerts, embs.map(_.graphIdx), embs.flatMap(_.vmap), embs.flatMap(_.eids))
+  private[enumeration] def this(code: Vector[CodeEdge], rmPath: List[Int], embs: Array[Emb]) = {
+    this(code, rmPath, embs.map(_.graphIdx), embs.flatMap(_.vmap), embs.flatMap(_.eids))
     require((1 until graphs.length).forall(k => graphs(k - 1) <= graphs(k)), "embeddings must be ordered by graphIdx")
   }
+
+  /** The number of pattern vertices: the right-most vertex is the newest. */
+  def nVerts: Int = rmPath.head + 1
 
   def numEdges: Int = code.length
 
@@ -129,23 +132,39 @@ final class PatternNode private[enumeration] (val code: Vector[CodeEdge], val rm
     hi
   }
 
+  /** Records the right-most extensions of embeddings `[from, until)`,
+    * each tagged with its row, in range `r`'s table of `w`.
+    */
+  private def extendRange(w: Workspace, r: Int, from: Int, until: Int): Unit = {
+    val t = w.table(r)
+    val dbGraphs = w.db.graphs
+    val graphs = this.graphs
+    val vmaps = this.vmaps
+    val eids = this.eids
+    val nv = nVerts
+    val ne = numEdges
+    var k = from
+    while (k < until) {
+      t.source = k
+      RightMost.extend(dbGraphs(graphs(k)), rmPath, nv, vmaps, k * nv, eids, k * ne, ne, t)
+      k += 1
+    }
+  }
+
   /** Distinct database graph indices containing this pattern, ascending.
     * Built in ranges ([[Ranges]]): each writes the distinct graphs of its
     * slice of the embeddings to the same slice of the calling thread's
     * buffer, and the slices are joined in range order, each dropping its
     * first id when it equals the previous one's last.
     */
-  lazy val graphIds: Array[Int] = {
-    val s = PatternNode.scratch.get
-    s.grow(numEmbeddings)
-    s.joined(s.run(this, null, numEmbeddings, PatternNode.graphIdsRange))
-  }
+  lazy val graphIds: Array[Int] =
+    Workspace.get.scan(this, null, numEmbeddings, numEmbeddings, PatternNode.graphIdsRange)
 
   /** Writes the distinct graphs of embeddings `[from, until)` to
-    * `s.buf` from index `from`.
+    * `w.buf` from index `from`.
     */
-  private def graphIdsRange(s: PatternNode.Scratch, r: Int, from: Int, until: Int): Unit = {
-    val out = s.buf
+  private def graphIdsRange(w: Workspace, r: Int, from: Int, until: Int): Unit = {
+    val out = w.buf
     var m = from
     var last = -1
     var k = from
@@ -154,7 +173,7 @@ final class PatternNode private[enumeration] (val code: Vector[CodeEdge], val rm
       if (gi != last) { out(m) = gi; m += 1; last = gi }
       k += 1
     }
-    s.slice(r, from, m - from)
+    w.slice(r, from, m - from)
   }
 
   def support: Int = graphIds.length
@@ -166,7 +185,7 @@ final class PatternNode private[enumeration] (val code: Vector[CodeEdge], val rm
     * ranges ([[Ranges]]) whose ends move forward to the next graph's first
     * embedding, so that no graph spans two ranges. A range takes its
     * graphs one at a time: their embeddings' local edge ids are marked in
-    * the bitset of the thread running the range, which is then read out in
+    * range `r`'s bitset of the calling thread, which is then read out in
     * ascending order and cleared. The range writes its edges to the calling
     * thread's output buffer, from the edge offset of its first graph less
     * that of embedding 0's, a slice no other range reaches. The slices are
@@ -175,22 +194,20 @@ final class PatternNode private[enumeration] (val code: Vector[CodeEdge], val rm
   def coverGlobal(db: GraphDb): Array[Int] = {
     if (coverCache == null) {
       val n = numEmbeddings
-      val s = PatternNode.scratch.get
       // The edges of the graphs from embedding 0's to the last one's, which
       // hold every range's output.
       val span = if (n == 0) 0 else db.edgeOffset(graphOf(n - 1) + 1) - db.edgeOffset(graphOf(0))
-      s.grow(span)
-      coverCache = s.joined(s.run(this, db, n, PatternNode.coverRange))
+      coverCache = Workspace.get.scan(this, db, n, span, PatternNode.coverRange)
     }
     coverCache
   }
 
   /** Writes the cover of the graphs whose embeddings start in
-    * `[from, until)` to `s.buf`.
+    * `[from, until)` to `w.buf`.
     */
-  private def coverRange(s: PatternNode.Scratch, r: Int, from0: Int, until0: Int): Unit = {
-    val db = s.db
-    val out = s.buf
+  private def coverRange(w: Workspace, r: Int, from0: Int, until0: Int): Unit = {
+    val db = w.db
+    val out = w.buf
     val until = graphStart(until0)
     var k = graphStart(from0)
     val start = if (k < until) db.edgeOffset(graphOf(k)) - db.edgeOffset(graphOf(0)) else 0
@@ -199,14 +216,13 @@ final class PatternNode private[enumeration] (val code: Vector[CodeEdge], val rm
     val ext = this.ext
     val rows = if (ext == null) eids else pEids
     val ne = if (ext == null) numEdges else numEdges - 1
-    val own = PatternNode.scratch.get
-    var marks = own.marks
+    var marks = w.marks(r)
     var m = start
     while (k < until) {
       val gi = graphOf(k)
       val off = db.edgeOffset(gi)
       val words = (db.edgeOffset(gi + 1) - off + 63) >>> 6
-      if (marks.length < words) { marks = new Array[Long](words); own.marks = marks }
+      if (marks.length < words) { marks = new Array[Long](words); w.marks(r) = marks }
       while (k < until && graphOf(k) == gi) {
         var t = (if (ext == null) k else ext(3 * k)) * ne
         val end = t + ne
@@ -214,19 +230,19 @@ final class PatternNode private[enumeration] (val code: Vector[CodeEdge], val rm
         if (ext != null) { val e = ext(3 * k + 2); marks(e >>> 6) |= 1L << e }
         k += 1
       }
-      var w = 0
-      while (w < words) {
-        var bits = marks(w)
-        marks(w) = 0L
+      var x = 0
+      while (x < words) {
+        var bits = marks(x)
+        marks(x) = 0L
         while (bits != 0L) {
-          out(m) = off + (w << 6) + java.lang.Long.numberOfTrailingZeros(bits)
+          out(m) = off + (x << 6) + java.lang.Long.numberOfTrailingZeros(bits)
           m += 1
           bits &= bits - 1
         }
-        w += 1
+        x += 1
       }
     }
-    s.slice(r, start, m - start)
+    w.slice(r, start, m - start)
   }
 
   def coverage(db: GraphDb): Int = coverGlobal(db).length
@@ -234,63 +250,9 @@ final class PatternNode private[enumeration] (val code: Vector[CodeEdge], val rm
 
 private object PatternNode {
   val buildRange: Ranges.Loop[PatternNode] = (p, _, from, until) => p.buildRange(from, until)
-  val graphIdsRange: Ranges.Loop[Scratch] = (s, r, from, until) => s.node.graphIdsRange(s, r, from, until)
-  val coverRange: Ranges.Loop[Scratch] = (s, r, from, until) => s.node.coverRange(s, r, from, until)
-
-  /** The buffers of `graphIds` and `coverGlobal`, reused across calls. One
-    * per thread: Spark task threads build covers at once. `marks` is used
-    * by the ranges this thread runs, for any caller; the rest by the ranges
-    * of this thread's own calls, wherever they run.
-    */
-  final class Scratch {
-    /** Edge marks of one graph, all zero between uses. */
-    var marks = new Array[Long](1)
-
-    /** The output buffer, of the calling thread's calls. */
-    var buf = new Array[Int](64)
-
-    /** The node and database of the call in progress. */
-    var node: PatternNode = _
-    var db: GraphDb = _
-
-    /** Per range, where its output starts in `buf` and its length. */
-    private val slices = new Array[Int](2 * Ranges.max)
-
-    /** Grows `buf` to at least `n` ints. */
-    def grow(n: Int): Unit = if (buf.length < n) buf = new Array[Int](math.max(n, 2 * buf.length))
-
-    def slice(r: Int, start: Int, length: Int): Unit = { slices(2 * r) = start; slices(2 * r + 1) = length }
-
-    /** The slices of ranges `[0, count)`, range 0's at index 0, joined in
-      * range order into an exact-length array. Each slice drops its first
-      * value when it equals the last one kept: a graph whose embeddings
-      * two graph-id ranges share. Cover slices hold disjoint graphs, so
-      * they never drop one.
-      */
-    def joined(count: Int): Array[Int] = {
-      var m = slices(1)
-      var r = 1
-      while (r < count) {
-        var from = slices(2 * r)
-        var len = slices(2 * r + 1)
-        if (len > 0 && m > 0 && buf(from) == buf(m - 1)) { from += 1; len -= 1 }
-        System.arraycopy(buf, from, buf, m, len)
-        m += len
-        r += 1
-      }
-      java.util.Arrays.copyOf(buf, m)
-    }
-
-    /** Runs `loop` over `[0, n)` for `node` in ranges of scan items. */
-    def run(node: PatternNode, db: GraphDb, n: Int, loop: Ranges.Loop[Scratch]): Int = {
-      this.node = node
-      this.db = db
-      try Ranges.run(n, Ranges.Scan, this, loop)
-      finally { this.node = null; this.db = null }
-    }
-  }
-
-  val scratch: ThreadLocal[Scratch] = ThreadLocal.withInitial(() => new Scratch)
+  val extendRange: Ranges.Loop[Workspace] = (w, r, from, until) => w.node.extendRange(w, r, from, until)
+  val graphIdsRange: Ranges.Loop[Workspace] = (w, r, from, until) => w.node.graphIdsRange(w, r, from, until)
+  val coverRange: Ranges.Loop[Workspace] = (w, r, from, until) => w.node.coverRange(w, r, from, until)
 }
 
 /** Thrown when an enumeration-driven algorithm exceeds its deadline; the
@@ -307,11 +269,12 @@ final class TedTimeout(val elapsedMillis: Long) extends RuntimeException(s"deadl
   * embeddings, `children`'s extension pass, the build of a child's
   * embeddings, and each node's `graphIds` and `coverGlobal`. Each
   * extension range fills its own table, and the tables are merged in range
-  * order, so every result equals the one-range loop's. The tables are the
-  * calling thread's, reused across calls, so enumerators on different
-  * threads share nothing. Not
-  * thread-safe: `children` reuses one buffer for the children it keeps,
-  * and hands IPS's lists over through the nodes.
+  * order, so every result equals the one-range loop's. The tables and
+  * every other buffer of a call are the calling thread's [[Workspace]], so
+  * an enumerator holds no mutable state of its own: `children` may be
+  * called on distinct nodes from several threads at once. Two calls on
+  * one node at once are not safe, since the node builds its rows and hands
+  * IPS's list over on its first call.
   *
   * @param minSupport minimum number of distinct graphs containing a
   *                   pattern (1 = enumerate everything); anti-monotone,
@@ -334,28 +297,6 @@ final class Enumerator(
     val d = if (ms > Long.MaxValue / 1000000L) Long.MaxValue else startNanos + ms * 1000000L
     if (d < startNanos) Long.MaxValue else d
   }
-  // The children `children` keeps, before the exact-sized copy it returns;
-  // cleared after the copy, so that it holds no node alive.
-  private var kidBuf = new Array[PatternNode](16)
-
-  // The node `children` is extending, for its extension ranges.
-  private[enumeration] var expanding: PatternNode = _
-  private val extendRange: ExtensionTable.Loop = (t, from, until) => {
-    val p = expanding
-    val pGraphs = p.graphs
-    val vmaps = p.vmaps
-    val eids = p.eids
-    val rmPath = p.rmPath
-    val nv = p.nVerts
-    val ne = p.numEdges
-    val graphs = db.graphs
-    var k = from
-    while (k < until) {
-      t.source = k
-      RightMost.extend(graphs(pGraphs(k)), rmPath, nv, vmaps, k * nv, eids, k * ne, ne, t)
-      k += 1
-    }
-  }
 
   private def checkDeadline(): Unit =
     if (System.nanoTime() > deadlineNanos)
@@ -370,7 +311,9 @@ final class Enumerator(
     * of its records. Each record is (graph, first endpoint, edge).
     */
   private def buildRoots(): IndexedSeq[PatternNode] = {
-    val t = ExtensionTable.fill(db.totalEdges, (t, from, until) => {
+    val t = Workspace.get.extend(null, db, db.totalEdges, (ws, r, from, until) => {
+      val t = ws.table(r)
+      val db = ws.db
       var ge = from
       while (ge < until) {
         val gi = db.graphOfEdge(ge)
@@ -402,7 +345,7 @@ final class Enumerator(
           k += 1
         }
       })
-      new PatternNode(Vector(t.codeEdge(grp)), List(1, 0), 2, graphs, vmaps, eids)
+      new PatternNode(Vector(t.codeEdge(grp)), List(1, 0), graphs, vmaps, eids)
     }.filter(_.support >= minSupport).toIndexedSeq
   }
 
@@ -430,26 +373,27 @@ final class Enumerator(
     val kept = p.kept
     if (kept != null) { p.kept = null; return kept }
     p.build()
-    expanding = p
-    val t = try ExtensionTable.fill(p.graphs.length, extendRange) finally expanding = null
+    val t = Workspace.get.extend(p, db, p.graphs.length, PatternNode.extendRange)
+    // The kept groups move to the front of the order array, in order.
     val order = t.sortedGroups()
-    if (kidBuf.length < t.numGroups) kidBuf = new Array[PatternNode](math.max(t.numGroups, 2 * kidBuf.length))
     var n = 0
     var a = 0
     while (a < t.numGroups) {
       val grp = order(a)
       if ((minSupport <= 1 || t.support(grp, p.graphs) >= minSupport) && t.isMin(grp, p.code, p.rmPath)) {
-        val ce = t.codeEdge(grp)
-        val rm = if (ce.isForward) DfsCode.extendRmPath(p.rmPath, ce) else p.rmPath
-        val nv = if (ce.isForward) p.nVerts + 1 else p.nVerts
-        kidBuf(n) = new PatternNode(p.code :+ ce, rm, nv, p, t.records(grp))
+        order(n) = grp
         n += 1
       }
       a += 1
     }
     val out = new Array[PatternNode](n)
-    System.arraycopy(kidBuf, 0, out, 0, n)
-    java.util.Arrays.fill(kidBuf.asInstanceOf[Array[AnyRef]], 0, n, null)
+    var i = 0
+    while (i < n) {
+      val ce = t.codeEdge(order(i))
+      val rm = if (ce.isForward) DfsCode.extendRmPath(p.rmPath, ce) else p.rmPath
+      out(i) = new PatternNode(p.code :+ ce, rm, p, t.records(order(i)))
+      i += 1
+    }
     ArraySeq.unsafeWrapArray(out)
   }
 
@@ -483,7 +427,9 @@ final class Enumerator(
   * The caller claims ranges from a shared counter as the pool tasks do,
   * and waits only when none is left to claim, so it never waits on a range
   * that nobody has started: a saturated pool, or a caller that is itself a
-  * pool worker or a Spark task, still finishes.
+  * pool worker or a Spark task, still finishes. A range may run on any
+  * thread, so a loop that needs scratch space takes it from the calling
+  * thread's [[Workspace]], passed as its context, at its own slot `r`.
   */
 private[enumeration] object Ranges {
   /** The items `[from, until)` of range `r`, with the call's context `a`.
@@ -564,6 +510,89 @@ private[enumeration] object Ranges {
       if (e != null) throw e
     }
   }
+}
+
+/** The scratch space of the ranged calls a thread makes, reused across
+  * its calls: one extension table and one edge bitset per range, the
+  * output buffer of `graphIds` and `coverGlobal` with each range's slice
+  * of it, and the node and database of the call in progress. A range
+  * touches only the calling thread's workspace, at slot `r` or in its own
+  * slice of the buffer, wherever it runs; never the workspace of the pool
+  * worker that runs it, which may next serve another thread's call while
+  * this one's caller still reads its results. So calls on distinct threads
+  * share nothing (Spark task threads enumerate at once).
+  */
+private[enumeration] final class Workspace {
+  /** Per range, its extension table. */
+  val tables: Array[ExtensionTable] = Array.fill(Ranges.max)(new ExtensionTable)
+
+  /** Per range, the edge marks of one graph, all zero between uses. */
+  val marks: Array[Array[Long]] = Array.fill(Ranges.max)(new Array[Long](1))
+
+  /** The output buffer of `graphIds` and `coverGlobal`. */
+  var buf = new Array[Int](64)
+
+  /** Per range, where its output starts in `buf` and its length. */
+  private val slices = new Array[Int](2 * Ranges.max)
+
+  /** The node and database of the call in progress, null between calls. */
+  var node: PatternNode = _
+  var db: GraphDb = _
+
+  /** Runs the extension pass `loop` over `[0, n)` for `node` and `db`,
+    * and returns range 0's table with the others' appended in range order,
+    * so each group's records come in ascending item order, as from one
+    * range over `[0, n)`. Valid until this thread's next extension pass.
+    */
+  def extend(node: PatternNode, db: GraphDb, n: Int, loop: Ranges.Loop[Workspace]): ExtensionTable = {
+    val count = run(node, db, n, Ranges.Extend, loop)
+    var r = 1
+    while (r < count) { tables(0).appendFrom(tables(r)); r += 1 }
+    tables(0)
+  }
+
+  /** Runs the scan `loop` over `[0, n)` for `node` and `db`, its ranges
+    * writing to slices of a buffer of at least `size` ints, and returns the
+    * slices joined in range order into an exact-length array. Each slice
+    * drops its first value when it equals the last one kept: a graph whose
+    * embeddings two graph-id ranges share. Cover slices hold disjoint
+    * graphs, so they never drop one.
+    */
+  def scan(node: PatternNode, db: GraphDb, n: Int, size: Int, loop: Ranges.Loop[Workspace]): Array[Int] = {
+    if (buf.length < size) buf = new Array[Int](math.max(size, 2 * buf.length))
+    val count = run(node, db, n, Ranges.Scan, loop)
+    var m = slices(1)
+    var r = 1
+    while (r < count) {
+      var from = slices(2 * r)
+      var len = slices(2 * r + 1)
+      if (len > 0 && m > 0 && buf(from) == buf(m - 1)) { from += 1; len -= 1 }
+      System.arraycopy(buf, from, buf, m, len)
+      m += len
+      r += 1
+    }
+    java.util.Arrays.copyOf(buf, m)
+  }
+
+  private def run(node: PatternNode, db: GraphDb, n: Int, cost: Int, loop: Ranges.Loop[Workspace]): Int = {
+    this.node = node
+    this.db = db
+    try Ranges.run(n, cost, this, loop)
+    finally { this.node = null; this.db = null }
+  }
+
+  /** Range `r`'s table, cleared. */
+  def table(r: Int): ExtensionTable = { tables(r).clear(); tables(r) }
+
+  /** Range `r`'s output: `length` ints of `buf` from `start`. */
+  def slice(r: Int, start: Int, length: Int): Unit = { slices(2 * r) = start; slices(2 * r + 1) = length }
+}
+
+private[enumeration] object Workspace {
+  private val perThread: ThreadLocal[Workspace] = ThreadLocal.withInitial(() => new Workspace)
+
+  /** The calling thread's workspace. */
+  def get: Workspace = perThread.get
 }
 
 /** Extension records grouped by extension tuple, reused across calls, so
@@ -748,48 +777,5 @@ private final class ExtensionTable extends RightMost.Sink {
       r = recs(o + 3)
     }
     out
-  }
-}
-
-private object ExtensionTable {
-  /** Records the extensions of items `[from, until)` into `t`. */
-  trait Loop {
-    def apply(t: ExtensionTable, from: Int, until: Int): Unit
-  }
-
-  /** A thread's tables, one per range, and the loop its `fill` runs. */
-  private final class Tables {
-    val tables: Array[ExtensionTable] = Array.fill(Ranges.max)(new ExtensionTable)
-    var loop: Loop = _
-  }
-
-  private val perThread: ThreadLocal[Tables] = ThreadLocal.withInitial(() => new Tables)
-
-  private val fillRange: Ranges.Loop[Tables] = (ts, r, from, until) => {
-    val t = ts.tables(r)
-    t.clear()
-    ts.loop(t, from, until)
-  }
-
-  /** The calling thread's tables, one per range, reused across calls.
-    * They belong to the thread that calls `fill`, never to the pool worker
-    * that fills one: a worker may next serve another thread's call.
-    */
-  def tables: Array[ExtensionTable] = perThread.get.tables
-
-  /** Runs `loop(table, from, until)` over `[0, n)` with `Ranges.run`, each
-    * range into its own cleared table, and returns the first table with the
-    * others appended in range order. So each group's records come in
-    * ascending item order, as from one range over `[0, n)`. Valid until
-    * the calling thread's next `fill`.
-    */
-  def fill(n: Int, loop: Loop): ExtensionTable = {
-    val ts = perThread.get
-    ts.loop = loop
-    val count = try Ranges.run(n, Ranges.Extend, ts, fillRange) finally ts.loop = null
-    val t = ts.tables
-    var r = 1
-    while (r < count) { t(0).appendFrom(t(r)); r += 1 }
-    t(0)
   }
 }

@@ -247,7 +247,7 @@ class EnumeratorSpec extends AnyFunSuite {
       walk(new Enumerator(db, 4)) { (_, c) =>
         val ids = c.graphIds.toSeq
         val cover = c.coverGlobal(db).toSeq
-        val built = new PatternNode(c.code, c.rmPath, c.nVerts, c.embeddings)
+        val built = new PatternNode(c.code, c.rmPath, c.embeddings)
         assert(built.graphIds.toSeq == ids, c.key)
         assert(built.coverGlobal(db).toSeq == cover, c.key)
         if (c.embeddings.map(_.eids.length).sum > cover.length) sharedEdges += 1
@@ -270,7 +270,7 @@ class EnumeratorSpec extends AnyFunSuite {
       }
       assert(distinct.size == nodes.length)
     }
-    // On a fresh thread, whose scratch buffer starts small: the cover of
+    // On a fresh thread, whose workspace buffer starts small: the cover of
     // the 0-1 edge of a star with s leaves (s edges after graph 0's one
     // edge, one embedding each), then another cover on the same thread. As
     // s grows, some s meets the buffer's exact length.
@@ -456,6 +456,14 @@ class EnumeratorSpec extends AnyFunSuite {
       r +: en.children(r).filter(c => scanSplits(c.embeddings.length))
     }
 
+  /** The roots of `en` whose extension pass runs in two or more ranges,
+    * each followed by its children whose pass does, in walk order.
+    */
+  private def extendNodes(en: Enumerator): IndexedSeq[PatternNode] = {
+    def splits(p: PatternNode): Boolean = Ranges.count(p.embeddings.length, Ranges.Extend) >= 2
+    en.roots.filter(splits).flatMap(r => r +: en.children(r).filter(splits))
+  }
+
   /** The children of `p` by key, with a hash of their graph ids, covers
     * and embeddings; with `reference`, of the reference graph ids and
     * covers of their embeddings instead.
@@ -499,7 +507,7 @@ class EnumeratorSpec extends AnyFunSuite {
       val ids = c.graphIds
       val cover = c.coverGlobal(db)
       check("child", c.key, ids, cover, c.embeddings)
-      val built = new PatternNode(c.code, c.rmPath, c.nVerts, c.embeddings)
+      val built = new PatternNode(c.code, c.rmPath, c.embeddings)
       check("built", c.key, built.graphIds, built.coverGlobal(db), c.embeddings)
     }
     splits.toMap
@@ -531,6 +539,21 @@ class EnumeratorSpec extends AnyFunSuite {
     Seq("child", "built", "emptied").foreach(kind => assert(splits.getOrElse(kind, 0) > 0, s"no $kind split: $splits"))
   }
 
+  /** Runs `body(t)` on threads t = 0 to 3, started at once, and fails
+    * with what they threw.
+    */
+  private def onFourThreads(body: Int => Unit): Unit = {
+    val errors = new ConcurrentLinkedQueue[Throwable]
+    val start = new CountDownLatch(1)
+    val threads = (0 until 4).map { t =>
+      new Thread(() => try { start.await(); body(t) } catch { case e: Throwable => errors.add(e) })
+    }
+    threads.foreach(_.start())
+    start.countDown()
+    threads.foreach(_.join())
+    assert(errors.isEmpty, errors.toString)
+  }
+
   test("four enumerators expanding one large database at once give the sequential children") {
     val db = splitDb
     // The reference digests, and the split nodes' reference graph ids and
@@ -545,41 +568,116 @@ class EnumeratorSpec extends AnyFunSuite {
     assert(expected.length >= 2 && splitKids > 0)
     // Each thread expands every split node 8 times, from its own offset,
     // so that the threads expand different nodes at once.
-    val errors = new ConcurrentLinkedQueue[Throwable]
-    val start = new CountDownLatch(1)
-    val threads = (0 until 4).map { t =>
-      new Thread(() =>
-        try {
-          start.await()
-          val en = new Enumerator(db, 3)
-          val nodes = splitNodes(en)
-          nodes.indices.foreach(a => assert(digest(db, Seq(nodes(a))) == expectedNodes(a), s"thread $t, node ${nodes(a).key}"))
-          (0 until 8 * nodes.length).foreach { i =>
-            val a = (t * nodes.length / 4 + i) % nodes.length
-            assert(digest(db, en.children(nodes(a))) == expected(a), s"thread $t, node ${nodes(a).key}")
-          }
-        } catch { case e: Throwable => errors.add(e) })
+    onFourThreads { t =>
+      val en = new Enumerator(db, 3)
+      val nodes = splitNodes(en)
+      nodes.indices.foreach(a => assert(digest(db, Seq(nodes(a))) == expectedNodes(a), s"thread $t, node ${nodes(a).key}"))
+      (0 until 8 * nodes.length).foreach { i =>
+        val a = (t * nodes.length / 4 + i) % nodes.length
+        assert(digest(db, en.children(nodes(a))) == expected(a), s"thread $t, node ${nodes(a).key}")
+      }
     }
-    threads.foreach(_.start())
-    start.countDown()
-    threads.foreach(_.join())
-    assert(errors.isEmpty, errors.toString)
+    // One enumerator shared by the four threads, each expanding its own
+    // quarter of the nodes whose extension pass splits, 8 times over:
+    // distinct nodes at once.
+    val shared = {
+      val en = new Enumerator(db, 3)
+      extendNodes(en).map(p => digest(db, en.children(p)))
+    }
+    val en = new Enumerator(db, 3)
+    val nodes = extendNodes(en)
+    assert(nodes.length == shared.length && nodes.length >= 8, nodes.length)
+    onFourThreads { t =>
+      (0 until 8).foreach { _ =>
+        (t until nodes.length by 4).foreach { a =>
+          assert(digest(db, en.children(nodes(a))) == shared(a), s"shared, thread $t, node ${nodes(a).key}")
+        }
+      }
+    }
+  }
+
+  /** The hash of table `t`'s groups: each one's tuple and records. */
+  private def tableHash(t: ExtensionTable): Int =
+    (0 until t.numGroups).map(g => (t.codeEdge(g), java.util.Arrays.hashCode(t.records(g)))).hashCode
+
+  /** Wraps range loops of calls that this thread makes on `db`, so that
+    * their ranges run one at a time, pool workers taking some, and each
+    * range is checked to touch only this thread's workspace at its own
+    * slot `r`. Around range r, every other slot's bitset is all ones (wide
+    * enough for any graph, so a range that marks in it goes wrong) and
+    * slot r's is a clean one; after it, the other slots' tables must be as
+    * they were, their bitsets all ones, and slot r's bitset the clean one,
+    * all zero again. On a pool worker, the worker's own workspace is given
+    * all-ones bitsets too, and must be left as it was: tables, buffer and
+    * bitsets.
+    */
+  private final class OwnedRanges(db: GraphDb) {
+    private val caller = Thread.currentThread
+    private val w = Workspace.get
+    private val words = (db.graphs.map(_.numEdges).max + 63) / 64
+    private val clean = new Array[Long](words)
+    private val lock = new Object
+
+    /** The ranges run on pool workers so far. */
+    var onWorker = 0
+
+    private def poison(marks: Array[Array[Long]], except: Int): Unit =
+      marks.indices.foreach(x => if (x != except) marks(x) = Array.fill(words)(-1L))
+
+    def apply(loop: Ranges.Loop[Workspace]): Ranges.Loop[Workspace] = (ws, r, from, until) => {
+      lock.synchronized {
+        assert(ws eq w, s"range $r was handed another thread's workspace")
+        val others = ws.tables.indices.filter(_ != r)
+        val tables = others.map(x => tableHash(ws.tables(x)))
+        val marks = ws.marks.clone
+        poison(ws.marks, r)
+        ws.marks(r) = clean
+        val worker = Thread.currentThread ne caller
+        val own = if (worker) Workspace.get else null
+        val ownMarks = if (worker) own.marks.clone else null
+        val ownState = if (worker) { poison(own.marks, -1); (own.tables.map(tableHash).toSeq, own.buf.clone) } else null
+        try {
+          loop(ws, r, from, until)
+          assert(others.map(x => tableHash(ws.tables(x))) == tables, s"range $r changed another range's table")
+          assert(others.forall(x => ws.marks(x).forall(_ == -1L)), s"range $r marked in another range's bitset")
+          assert((ws.marks(r) eq clean) && clean.forall(_ == 0L), s"range $r left its bitset")
+          if (worker) {
+            val name = Thread.currentThread.getName
+            assert(own.tables.map(tableHash).toSeq == ownState._1, s"range $r wrote to $name's tables")
+            assert(java.util.Arrays.equals(own.buf, ownState._2), s"range $r wrote to $name's buffer")
+            assert(own.marks.forall(_.forall(_ == -1L)), s"range $r marked in $name's bitset")
+            onWorker += 1
+          }
+        } finally {
+          System.arraycopy(marks, 0, ws.marks, 0, marks.length)
+          if (worker) System.arraycopy(ownMarks, 0, own.marks, 0, ownMarks.length)
+        }
+      }
+      // The caller waits, so that the pool's workers claim ranges.
+      if (Thread.currentThread eq caller) Thread.sleep(5)
+    }
   }
 
   test("a split fill hands each range one of the calling thread's tables, also on a pool worker") {
-    val own = ExtensionTable.tables
-    val used = new ConcurrentLinkedQueue[(ExtensionTable, Thread)]
-    (1 to 5).foreach { _ =>
-      // Each range sleeps, so that the pool's workers claim some.
-      ExtensionTable.fill(Ranges.max * Ranges.MinWork / Ranges.Extend, (t, _, _) => {
-        used.add((t, Thread.currentThread)); Thread.sleep(5)
-      })
+    val db = splitDb
+    val root = new Enumerator(db, 3).roots.maxBy(_.embeddings.length)
+    val (n, nv, ne) = (root.graphs.length, root.nVerts, root.numEdges)
+    assert(Ranges.count(n, Ranges.Extend) >= 2)
+    // The groups of a table, in order, each with its tuple and records.
+    def groups(t: ExtensionTable): Seq[(CodeEdge, Int, Int)] =
+      t.sortedGroups().take(t.numGroups).toSeq.map(g => (t.codeEdge(g), t.records(g).length, java.util.Arrays.hashCode(t.records(g))))
+    // The one-range reference, by a plain loop into a table of its own.
+    val ref = new ExtensionTable
+    (0 until n).foreach { k =>
+      ref.source = k
+      RightMost.extend(db.graphs(root.graphs(k)), root.rmPath, nv, root.vmaps, k * nv, root.eids, k * ne, ne, ref)
     }
-    assert(used.asScala.exists(_._2 ne Thread.currentThread), "no range ran on a pool worker")
-    used.asScala.foreach { case (t, th) => assert(own.exists(_ eq t), s"a table of ${th.getName}") }
+    val owned = new OwnedRanges(db)
+    (1 to 5).foreach(_ => assert(groups(Workspace.get.extend(root, db, n, owned(PatternNode.extendRange))) == groups(ref)))
+    assert(owned.onWorker > 0, "no range ran on a pool worker")
   }
 
-  test("split graph ids and covers write only to the calling thread's buffer and mark in the running thread's bitset") {
+  test("split graph ids and covers use only the calling thread's workspace, at each range's own slot") {
     val db = splitDb
     // The reference: the largest root and a child whose scans split, by
     // index, from another enumerator.
@@ -591,43 +689,16 @@ class EnumeratorSpec extends AnyFunSuite {
     val en = new Enumerator(db, 3)
     val root = en.roots(a)
     val child = en.children(root)(b) // not built: its scans read the records
-    val caller = Thread.currentThread
-    val s = PatternNode.scratch.get
-    val clean = s.marks
-    // The caller's bitset while a range runs elsewhere: every bit set, and
-    // wide enough for any graph, so a range that marks in it goes wrong.
-    val poison = Array.fill((db.graphs.map(_.numEdges).max + 63) / 64)(-1L)
-    val lock = new Object
-    var onWorker = 0
-    // The ranges run one at a time. The caller's ranges sleep with its
-    // clean bitset, so that the pool's workers claim the others.
-    def wrap(loop: Ranges.Loop[PatternNode.Scratch]): Ranges.Loop[PatternNode.Scratch] = (sc, r, from, until) =>
-      lock.synchronized {
-        if (Thread.currentThread eq caller) {
-          s.marks = clean; loop(sc, r, from, until); clean.foreach(w => assert(w == 0L)); s.marks = poison
-          Thread.sleep(5)
-        } else {
-          val own = PatternNode.scratch.get
-          val buf = own.buf.clone
-          loop(sc, r, from, until)
-          assert(java.util.Arrays.equals(own.buf, buf), s"range $r wrote to ${Thread.currentThread.getName}'s buffer")
-          onWorker += 1
-        }
-      }
-    def scan(node: PatternNode, n: Int, loop: Ranges.Loop[PatternNode.Scratch]): Array[Int] = {
-      s.grow(db.totalEdges)
-      s.marks = poison
-      try s.joined(s.run(node, db, n, wrap(loop))) finally s.marks = clean
-    }
+    val w = Workspace.get
+    val owned = new OwnedRanges(db)
     (1 to 5).foreach { _ =>
       Seq((root, ref.roots(a)), (child, refKids(b))).foreach { case (node, r) =>
         val n = r.embeddings.length
-        assert(scan(node, n, PatternNode.graphIdsRange).toSeq == refIds(r.embeddings).toSeq, node.key)
-        assert(scan(node, n, PatternNode.coverRange).toSeq == refCover(db, r.embeddings).toSeq, node.key)
-        assert(poison.forall(_ == -1L), s"a range marked in the caller's bitset, ${node.key}")
+        assert(w.scan(node, null, n, n, owned(PatternNode.graphIdsRange)).toSeq == refIds(r.embeddings).toSeq, node.key)
+        assert(w.scan(node, db, n, db.totalEdges, owned(PatternNode.coverRange)).toSeq == refCover(db, r.embeddings).toSeq, node.key)
       }
     }
-    assert(onWorker > 0, "no range ran on a pool worker")
+    assert(owned.onWorker > 0, "no range ran on a pool worker")
   }
 
   test("RightMost.extend at a row offset gives the array form's extensions of the copied row, in order") {
@@ -673,12 +744,17 @@ class EnumeratorSpec extends AnyFunSuite {
     }
   }
 
-  test("children clears the node it expands when the extension pass throws") {
-    val en = new Enumerator(SampleDb.db, 3)
-    val root = en.roots.head
-    root.vmaps = new Array[Int](0) // the pass reads past its end
-    intercept[ArrayIndexOutOfBoundsException](en.children(root))
-    assert(en.expanding == null)
+  test("the workspace holds no node or database once an extension pass or a scan throws") {
+    val db = SampleDb.db
+    val en = new Enumerator(db, 3)
+    val roots = en.roots
+    val w = Workspace.get
+    roots(0).vmaps = new Array[Int](0) // the extension pass reads past its end
+    intercept[ArrayIndexOutOfBoundsException](en.children(roots(0)))
+    assert(w.node == null && w.db == null)
+    roots(1).eids = new Array[Int](0) // the cover scan reads past its end
+    intercept[ArrayIndexOutOfBoundsException](roots(1).coverGlobal(db))
+    assert(w.node == null && w.db == null)
   }
 
   test("roots and children on a large node finish while every common-pool worker is blocked") {
@@ -760,7 +836,7 @@ class EnumeratorSpec extends AnyFunSuite {
     val t = LabeledGraph(0, Seq(0, 0), Seq((0, 1, 0)))
     val root = new Enumerator(new GraphDb(IndexedSeq(t, t)), 1).roots.head
     val e = intercept[IllegalArgumentException] {
-      new PatternNode(root.code, root.rmPath, root.nVerts, root.embeddings.reverse)
+      new PatternNode(root.code, root.rmPath, root.embeddings.reverse)
     }
     assert(e.getMessage.contains("embeddings must be ordered by graphIdx"))
   }
